@@ -14,7 +14,7 @@ import numpy as np
 
 from .discretizer import DEFAULT_EPS_H, DiscreteModel, SamplingTooSmallError, rotational_row
 from .matseries import phi
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy, energy_matrix, energy_rate
+from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy, energy_matrix, energy_rate_psi
 
 GAIN_MODES = ("dynamic", "constant")
 
@@ -68,15 +68,24 @@ class ControlOutput:
     guard_event: str
 
 
-def _gain_with_event(x: PlantState, u_prev: float, h_k: float, gains: GainSet,
-                     guards: GuardSet, p: MotorParams) -> tuple[float, bool]:
-    """Retuned gain plus a flag for the |E'(h_k)| floor fallback."""
+def standard_psi(gains: GainSet, p: MotorParams) -> np.ndarray:
+    """Psi_s = phi(A h_s), the series value behind E'(h_s); fixed for a run."""
+    A, _ = continuous_matrices(p)
+    return phi(A * gains.h_s)
+
+
+def _gain_with_event(x: PlantState, u_prev: float, psi_k: np.ndarray, psi_s: np.ndarray | None,
+                     gains: GainSet, guards: GuardSet, p: MotorParams) -> tuple[float, bool]:
+    """Retuned gain from Psi_k = phi(A h_k) and Psi_s = phi(A h_s) (built here
+    when None), plus a flag for the |E'(h_k)| floor fallback."""
     if gains.gain_mode == "constant":
         return gains.k_E_s, False
-    e_rate_k = energy_rate(x, u_prev, h_k, p)
+    e_rate_k = energy_rate_psi(x, u_prev, psi_k, p)
     if abs(e_rate_k) < guards.eps_Eprime:
         return gains.k_E_s, True
-    e_rate_s = energy_rate(x, u_prev, gains.h_s, p)
+    if psi_s is None:
+        psi_s = standard_psi(gains, p)
+    e_rate_s = energy_rate_psi(x, u_prev, psi_s, p)
     raw = gains.k_E_s * e_rate_s / e_rate_k + gains.K_c
     return float(min(max(raw, gains.K_c), guards.k_E_max)), False
 
@@ -90,13 +99,20 @@ def dynamic_gain(x: PlantState, u_prev: float, h_k: float, gains: GainSet,
     [K_c, k_E_max]; when |E'(h_k)| is below the floor the standard gain is
     returned unchanged. In constant mode this is simply k_E_s.
     """
-    gain, _ = _gain_with_event(x, u_prev, h_k, gains, guards, p)
+    if not h_k > 0:
+        raise ValueError(f"h_k must be > 0, got {h_k}")
+    A, _ = continuous_matrices(p)
+    gain, _ = _gain_with_event(x, u_prev, phi(A * h_k), None, gains, guards, p)
     return gain
 
 
 def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
-                  guards: GuardSet, p: MotorParams, u_prev: float) -> ControlOutput:
+                  guards: GuardSet, p: MotorParams, u_prev: float,
+                  psi_s: np.ndarray | None = None) -> ControlOutput:
     """Control voltage for the current sample, always within +-u_sat.
+
+    Every term at h_k uses model.psi; ``psi_s`` is ``standard_psi(gains, p)``
+    for a caller that holds it across steps, and is built on demand otherwise.
 
     Guard events (one is reported, in this precedence):
       energy_floor      E_k <= eps_c, system is essentially at rest -> u = 0
@@ -107,14 +123,14 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
     if h_k < guards.eps_h:
         raise SamplingTooSmallError(f"h = {h_k} is below the sampling floor eps_h = {guards.eps_h}")
 
-    k_E, fallback = _gain_with_event(x, u_prev, h_k, gains, guards, p)
+    k_E, fallback = _gain_with_event(x, u_prev, model.psi, psi_s, gains, guards, p)
     E_k = energy(x, p)
     if E_k <= guards.eps_c:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")
 
     A, B = continuous_matrices(p)
     xv = x.as_array()
-    w = xv @ energy_matrix(p) @ phi(A * h_k)  # row vector x^T D phi(A h)
+    w = xv @ energy_matrix(p) @ model.psi  # row vector x^T D phi(A h)
     den = k_E * E_k * float(w @ B)
     if abs(den) < guards.eps_den:
         u = float(np.clip(u_prev, -gains.u_sat, gains.u_sat))

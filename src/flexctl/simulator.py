@@ -1,5 +1,5 @@
-"""Closed-loop simulation: per-step rediscretization, gain retune, control,
-exact ZOH state update, and full diagnostic logging.
+"""Closed-loop simulation: rediscretization on each period change, gain
+retune, control, exact ZOH state update, and full diagnostic logging.
 
 The discrete update x[k+1] = F x[k] + G u[k] is the exact zero-order-hold
 solution, so no ODE solver is involved in a run. ``rk4_crosscheck`` is a
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, GuardSet, control_input
+from .controller import GainSet, GuardSet, control_input, standard_psi
 from .discretizer import discretize
 from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy
 from .scheduler import Scheduler, ScheduleSpec
@@ -79,9 +79,12 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     """Simulate until the clock reaches cfg.duration; returns the full trace.
 
     Input threading is strictly sequential: u_prev feeds the gain retune of
-    the next step and starts at 0 V.
+    the next step and starts at 0 V. phi(A h_s) is evaluated once per run,
+    and the plant is discretized again only when the period changes.
     """
     sched = Scheduler(cfg.schedule)
+    psi_s = standard_psi(cfg.gains, cfg.params)
+    model = None
     state = cfg.initial
     u_prev = 0.0
     t = 0.0
@@ -89,8 +92,10 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     records: list[TraceRecord] = []
     while t < cfg.duration:
         h = sched.next_period()
-        model = discretize(cfg.params, h, eps_h=cfg.guards.eps_h)
-        out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, cfg.params, u_prev)
+        if model is None or h != model.h:
+            model = discretize(cfg.params, h, eps_h=cfg.guards.eps_h)
+        out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, cfg.params, u_prev,
+                            psi_s=psi_s)
         sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, cfg.params)
         records.append(TraceRecord(
             k=k, t=t, h_k=h,

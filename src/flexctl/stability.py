@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import GainSet
 from .discretizer import DiscreteModel, discretize, rotational_row
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy, energy_rate
+from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy, energy_rate_psi
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
     E_k = energy(x, p)
     f_m = rotational_row(model)
     xv = x.as_array()
-    return (k_E_used * E_k * energy_rate(x, u, model.h, p)
+    return (k_E_used * E_k * energy_rate_psi(x, u, model.psi, p)
             + gains.k_D / model.h * (x.omega - d.omega_d) * (float(f_m @ xv) - x.omega)
             + gains.k_P * (x.theta - d.theta_d) * x.omega)
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from flexctl.plant import DesiredState, MotorParams, PlantState, energy
-from flexctl.scheduler import ScheduleSpec
+from flexctl import simulator
+from flexctl.controller import control_input
+from flexctl.discretizer import discretize
+from flexctl.plant import DesiredState, MotorParams, PlantState, energy, energy_rate, energy_rate_psi
+from flexctl.scheduler import Scheduler, ScheduleSpec
 from flexctl.simulator import (DivergenceError, SimConfig, TraceRecord, compare_gain_modes,
                                read_trace_csv, rk4_crosscheck, run, schedule_hash,
                                write_trace_csv, TRACE_COLUMNS)
+from flexctl.stability import check_conditions
 
 
 def nominal_config(seed=1, **kwargs):
@@ -126,3 +130,51 @@ def test_rk4_crosscheck_short_window():
 def test_trace_record_fields_match_columns():
     from dataclasses import fields
     assert tuple(f.name for f in fields(TraceRecord)) == TRACE_COLUMNS
+
+
+def replay(cfg):
+    """The closed loop rebuilt from public calls: a fresh model every step,
+    and control_input left to build phi(A h_s) on its own."""
+    sched = Scheduler(cfg.schedule)
+    p = cfg.params
+    state, u_prev, t, k = cfg.initial, 0.0, 0.0, 0
+    records = []
+    while t < cfg.duration:
+        h = sched.next_period()
+        model = discretize(p, h, eps_h=cfg.guards.eps_h)
+        assert energy_rate(state, u_prev, h, p) == energy_rate_psi(state, u_prev, model.psi, p)
+        out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, p, u_prev)
+        sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, p)
+        records.append(TraceRecord(
+            k=k, t=t, h_k=h, I=state.current_I, omega=state.omega, theta=state.theta,
+            u=out.u, E=energy(state, p), k_E=out.k_E_used, V=sample.V, V_prime=sample.V_prime,
+            saturated=out.saturated, guard_event=out.guard_event,
+            V1_ok=sample.V1_ok, V2_ok=sample.V2_ok, cond_main=sample.condition_main))
+        state = PlantState.from_array(model.F @ state.as_array() + model.G * out.u)
+        u_prev = out.u
+        t += h
+        k += 1
+    return records
+
+
+@pytest.mark.parametrize("mode", ["random_hold", "per_step"])
+def test_run_equals_step_by_step_replay(mode):
+    cfg = SimConfig(schedule=ScheduleSpec(seed=3, mode=mode))
+    trace = run(cfg)
+    assert len(trace) > 40
+    assert replay(cfg) == trace
+
+
+def test_run_discretizes_once_per_period_change(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return discretize(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "discretize", counting)
+    trace = run(nominal_config(seed=2))
+    periods = [r.h_k for r in trace]
+    changes = [h for i, h in enumerate(periods) if i == 0 or h != periods[i - 1]]
+    assert len(changes) < len(trace)  # the schedule does hold periods
+    assert calls == changes
