@@ -1,10 +1,14 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flexctl import simulator
 from flexctl.controller import control_input
 from flexctl.discretizer import discretize
-from flexctl.plant import DesiredState, MotorParams, PlantState, energy, energy_rate, energy_rate_psi
+from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
+                           energy_rate, energy_rate_psi)
 from flexctl.scheduler import Scheduler, ScheduleSpec
 from flexctl.simulator import (DivergenceError, SimConfig, TraceRecord, compare_gain_modes,
                                read_trace_csv, rk4_crosscheck, run, schedule_hash,
@@ -125,6 +129,72 @@ def test_rk4_crosscheck_short_window():
     cfg = nominal_config(seed=1)
     trace = run(cfg)
     assert rk4_crosscheck(cfg, trace, t_end=0.5) < 1e-6
+
+
+def rk4_drift_reference(cfg, trace, t_end, dt):
+    """The cross-check as a plain sequential loop of 4-stage RK4 substeps."""
+    A, B = continuous_matrices(cfg.params)
+    x = cfg.initial.as_array()
+    worst = 0.0
+    for rec, nxt in zip(trace[:-1], trace[1:]):
+        if nxt.t > t_end:
+            break
+        n = int(np.ceil(rec.h_k / dt))
+        step = rec.h_k / n
+        force = B * rec.u
+        for _ in range(n):
+            k1 = A @ x + force
+            k2 = A @ (x + 0.5 * step * k1) + force
+            k3 = A @ (x + 0.5 * step * k2) + force
+            k4 = A @ (x + step * k3) + force
+            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        logged = np.array([nxt.I, nxt.omega, nxt.theta])
+        worst = max(worst, float(np.max(np.abs(logged - x)) / max(np.max(np.abs(x)), 1e-12)))
+    return worst
+
+
+def test_rk4_crosscheck_matches_sequential_rk4_loop():
+    # dt = 1e-3 puts RK4's own truncation error (~1e-9) far above round-off,
+    # so the drift measures the integrator, not the arithmetic
+    cfg = nominal_config(seed=1)
+    trace = run(cfg)
+    ref = rk4_drift_reference(cfg, trace, t_end=0.5, dt=1e-3)
+    assert ref > 1e-10
+    assert rk4_crosscheck(cfg, trace, t_end=0.5, dt=1e-3) == pytest.approx(ref, rel=1e-4)
+
+
+def test_rk4_crosscheck_is_fourth_order():
+    # halving dt divides a 4th-order drift by ~16; an exact exponential
+    # would leave both drifts at round-off
+    cfg = nominal_config(seed=1)
+    trace = run(cfg)
+    ratio = rk4_crosscheck(cfg, trace, t_end=0.5, dt=2e-3) / rk4_crosscheck(cfg, trace, t_end=0.5, dt=1e-3)
+    assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("dt", [-1e-4, 0.0, float("nan")])
+def test_rk4_crosscheck_rejects_invalid_dt(dt):
+    cfg = nominal_config(seed=1, duration=1.0)
+    with pytest.raises(ValueError):
+        rk4_crosscheck(cfg, run(cfg), dt=dt)
+
+
+def test_rk4_crosscheck_reports_blow_up_as_inf():
+    # dt = 1e-2 puts the current pole -R/L = -1300 outside RK4's stability
+    # interval (|lambda dt| = 13 > 2.79), so the re-integration overflows
+    cfg = nominal_config(seed=1)
+    trace = run(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rk4_crosscheck(cfg, trace, dt=1e-2) == float("inf")
+
+
+@pytest.mark.parametrize("gain_mode", ["dynamic", "constant"])
+def test_rk4_crosscheck_full_horizon(gain_mode):
+    for seed in range(1, 11):
+        base = nominal_config(seed=seed)
+        cfg = replace(base, gains=replace(base.gains, gain_mode=gain_mode))
+        assert rk4_crosscheck(cfg, run(cfg)) <= 1e-6, seed
 
 
 def test_trace_record_fields_match_columns():
