@@ -9,12 +9,13 @@ floor and near-zero stored energy) plus a numerically vanishing denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .discretizer import DEFAULT_EPS_H, DiscreteModel, SamplingTooSmallError, rotational_row
+from .discretizer import DEFAULT_EPS_H, DiscreteModel, SamplingTooSmallError
 from .matseries import phi
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy, energy_matrix, energy_rate_psi
+from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy_weights
 
 GAIN_MODES = ("dynamic", "constant")
 
@@ -74,36 +75,63 @@ def standard_psi(gains: GainSet, p: MotorParams) -> np.ndarray:
     return phi(A * gains.h_s)
 
 
-def _gain_with_event(x: PlantState, u_prev: float, psi_k: np.ndarray, psi_s: np.ndarray | None,
-                     gains: GainSet, guards: GuardSet, p: MotorParams) -> tuple[float, bool]:
-    """Retuned gain from Psi_k = phi(A h_k) and Psi_s = phi(A h_s) (built here
-    when None), plus a flag for the |E'(h_k)| floor fallback."""
+class _LawTerms(NamedTuple):
+    """The pieces of the discrete Lyapunov rate V' at one (state, model) pair,
+    each formed once per step from the matrices the model carries."""
+
+    xd: np.ndarray   # x^T D
+    E: float         # stored energy 0.5 x^T D x
+    ax: np.ndarray   # A x
+    w: np.ndarray    # x^T D Psi, Psi = model.psi
+    fmx: float       # F_m x, the input-free omega prediction
+    t_D: float       # (k_D/h)(omega - omega_d)(F_m x - omega)
+    t_P: float       # k_P (theta - theta_d) omega
+
+    def rate(self, k_E: float, v: np.ndarray) -> float:
+        """k_E E (w . v) + t_D + t_P: V' at input u for v = A x + B u, and
+        its input-free part for v = A x."""
+        return k_E * self.E * float(self.w @ v) + self.t_D + self.t_P
+
+
+def _law_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
+               p: MotorParams) -> _LawTerms:
+    xv = x.as_array()
+    xd = xv * energy_weights(p)  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
+    fmx = float(model.F[1] @ xv)
+    return _LawTerms(
+        xd=xd,
+        E=0.5 * float(xd @ xv),
+        ax=model.A @ xv,
+        w=xd @ model.psi,
+        fmx=fmx,
+        t_D=gains.k_D / model.h * (x.omega - d.omega_d) * (fmx - x.omega),
+        t_P=gains.k_P * (x.theta - d.theta_d) * x.omega,
+    )
+
+
+def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
+                     psi_s: np.ndarray | None, gains: GainSet, guards: GuardSet,
+                     p: MotorParams) -> tuple[float, bool]:
+    """Per-period energy gain k_E(h_k) = k_E_s * E'(h_s)/E'(h_k) + K_c, plus a
+    flag for the |E'(h_k)| floor fallback.
+
+    Both energy rates are evaluated at the current state with the previous
+    input, which keeps the rule causal: E'(h) = x^T D Psi (A x + B u_prev)
+    with Psi = model.psi at h_k and Psi_s = phi(A h_s) (built here when None)
+    at h_s. The result is clamped to [K_c, k_E_max]; when |E'(h_k)| is below
+    the floor the standard gain is returned. In constant mode it is k_E_s.
+    """
     if gains.gain_mode == "constant":
         return gains.k_E_s, False
-    e_rate_k = energy_rate_psi(x, u_prev, psi_k, p)
+    v = terms.ax + model.B * u_prev
+    e_rate_k = float(terms.w @ v)
     if abs(e_rate_k) < guards.eps_Eprime:
         return gains.k_E_s, True
     if psi_s is None:
         psi_s = standard_psi(gains, p)
-    e_rate_s = energy_rate_psi(x, u_prev, psi_s, p)
+    e_rate_s = float(terms.xd @ psi_s @ v)
     raw = gains.k_E_s * e_rate_s / e_rate_k + gains.K_c
     return float(min(max(raw, gains.K_c), guards.k_E_max)), False
-
-
-def dynamic_gain(x: PlantState, u_prev: float, h_k: float, gains: GainSet,
-                 guards: GuardSet, p: MotorParams) -> float:
-    """Per-period energy gain k_E(h_k) = k_E_s * E'(h_s)/E'(h_k) + K_c.
-
-    Both energy rates are evaluated at the current state with the previous
-    input, which keeps the rule causal. The result is clamped to
-    [K_c, k_E_max]; when |E'(h_k)| is below the floor the standard gain is
-    returned unchanged. In constant mode this is simply k_E_s.
-    """
-    if not h_k > 0:
-        raise ValueError(f"h_k must be > 0, got {h_k}")
-    A, _ = continuous_matrices(p)
-    gain, _ = _gain_with_event(x, u_prev, phi(A * h_k), None, gains, guards, p)
-    return gain
 
 
 def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
@@ -111,8 +139,10 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
                   psi_s: np.ndarray | None = None) -> ControlOutput:
     """Control voltage for the current sample, always within +-u_sat.
 
-    Every term at h_k uses model.psi; ``psi_s`` is ``standard_psi(gains, p)``
-    for a caller that holds it across steps, and is built on demand otherwise.
+    Every term at h_k uses the model's Psi, A and B; ``psi_s`` is
+    ``standard_psi(gains, p)`` for a caller that holds it across steps, and
+    is built on demand otherwise. ``k_E_used`` is the retuned gain (k_E_s in
+    constant mode).
 
     Guard events (one is reported, in this precedence):
       energy_floor      E_k <= eps_c, system is essentially at rest -> u = 0
@@ -123,25 +153,19 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
     if h_k < guards.eps_h:
         raise SamplingTooSmallError(f"h = {h_k} is below the sampling floor eps_h = {guards.eps_h}")
 
-    k_E, fallback = _gain_with_event(x, u_prev, model.psi, psi_s, gains, guards, p)
-    E_k = energy(x, p)
-    if E_k <= guards.eps_c:
+    terms = _law_terms(x, d, model, gains, p)
+    k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains, guards, p)
+    if terms.E <= guards.eps_c:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")
 
-    A, B = continuous_matrices(p)
-    xv = x.as_array()
-    w = xv @ energy_matrix(p) @ model.psi  # row vector x^T D phi(A h)
-    den = k_E * E_k * float(w @ B)
+    u_sat = gains.u_sat
+    den = k_E * terms.E * float(terms.w @ model.B)
     if abs(den) < guards.eps_den:
-        u = float(np.clip(u_prev, -gains.u_sat, gains.u_sat))
-        return ControlOutput(u=u, k_E_used=k_E, saturated=abs(u_prev) > gains.u_sat,
+        u = float(min(max(u_prev, -u_sat), u_sat))
+        return ControlOutput(u=u, k_E_used=k_E, saturated=abs(u_prev) > u_sat,
                              guard_event="denominator_floor")
 
-    f_m = rotational_row(model)
-    num = (k_E * E_k * float(w @ (A @ xv))
-           + gains.k_D / h_k * (x.omega - d.omega_d) * (float(f_m @ xv) - x.omega)
-           + gains.k_P * (x.theta - d.theta_d) * x.omega)
-    u_raw = -num / den
-    u = float(np.clip(u_raw, -gains.u_sat, gains.u_sat))
-    return ControlOutput(u=u, k_E_used=k_E, saturated=abs(u_raw) > gains.u_sat,
+    u_raw = -terms.rate(k_E, terms.ax) / den
+    u = float(min(max(u_raw, -u_sat), u_sat))
+    return ControlOutput(u=u, k_E_used=k_E, saturated=abs(u_raw) > u_sat,
                          guard_event="gain_fallback" if fallback else "none")

@@ -1,10 +1,10 @@
 """Exact zero-order-hold discretization for one sampling period.
 
 One series evaluation Psi = phi(A h) gives F = e^(A h) = I + A h Psi and
-G = h Psi B. The model keeps Psi as well, because the energy rate, the
-control law and the Lyapunov rate at period h are all built on it; a caller
-that holds h fixed reuses the model instead of discretizing again. There is
-no caching or interpolation over h.
+G = h Psi B. The model keeps Psi and the continuous pair (A, B) as well,
+because the energy rate, the control law and the Lyapunov rate at period h
+are all built on them; a caller that holds h fixed reuses the model instead
+of discretizing again. There is no caching or interpolation over h.
 """
 
 from __future__ import annotations
@@ -27,34 +27,40 @@ class SamplingTooSmallError(ValueError):
 @dataclass(frozen=True)
 class DiscreteModel:
     """One-step model x[k+1] = F x[k] + G u[k] for period h, carried as
-    (F, G, Psi, h) with Psi = phi(A h), the series value F and G come from.
+    (F, G, Psi, h) with Psi = phi(A h), the series value F and G come from,
+    together with the continuous pair (A, B) the model was built from.
 
-    Build it with ``discretize`` or ``discretize_lti``; ``psi`` is required.
+    Build it with ``discretize`` or ``discretize_lti``; ``psi``, ``A`` and
+    ``B`` are required.
     """
 
     F: np.ndarray
     G: np.ndarray
     h: float
     psi: np.ndarray | None = None
+    A: np.ndarray | None = None
+    B: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"h must be > 0, got {self.h}")
-        if not (np.all(np.isfinite(self.F)) and np.all(np.isfinite(self.G))):
+        if not (np.isfinite(self.F).all() and np.isfinite(self.G).all()):
             raise ValueError("F and G must be finite")
-        if self.psi is None or not np.all(np.isfinite(self.psi)):
-            raise ValueError("psi = phi(A h) must be given and finite")
+        for name in ("psi", "A", "B"):
+            value = getattr(self, name)
+            if value is None or not np.isfinite(value).all():
+                raise ValueError(f"{name} must be given and finite")
 
 
 def discretize_lti(A, B, h: float, options: SeriesOptions | None = None) -> DiscreteModel:
     """ZOH-discretize an arbitrary LTI pair: Psi = phi(Ah), F = I + Ah*Psi, G = h*Psi*B."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = np.array(A, dtype=float)  # copies: the model carries A and B
+    B = np.array(B, dtype=float)
     Ah = A * h
     ph = phi(Ah, options)
     F = np.eye(A.shape[0]) + Ah @ ph
     G = h * ph @ B
-    return DiscreteModel(F=F, G=G, h=h, psi=ph)
+    return DiscreteModel(F=F, G=G, h=h, psi=ph, A=A, B=B)
 
 
 def discretize(p: MotorParams, h: float, eps_h: float = DEFAULT_EPS_H,

@@ -13,6 +13,7 @@ velocity, shaft angle). Two model fidelities are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ class PlantState:
     theta: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.current_I, self.omega, self.theta])):
+        if not (math.isfinite(self.current_I) and math.isfinite(self.omega)
+                and math.isfinite(self.theta)):
             raise ValueError("state entries must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -87,15 +89,20 @@ def continuous_matrices(p: MotorParams) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def energy_weights(p: MotorParams) -> np.ndarray:
+    """The diagonal d = (L, J, K_L) of the energy weight D; x^T D is exactly x * d."""
+    return np.array([p.L, p.J, p.K_L])
+
+
 def energy_matrix(p: MotorParams) -> np.ndarray:
-    """Diagonal weight of the stored energy: diag(L, J, K_L)."""
-    return np.diag([p.L, p.J, p.K_L])
+    """Diagonal weight of the stored energy: D = diag(L, J, K_L)."""
+    return np.diag(energy_weights(p))
 
 
 def energy(x: PlantState, p: MotorParams) -> float:
     """Stored (kinetic + potential) energy E = 0.5 x^T D x, in joules."""
     xv = x.as_array()
-    return 0.5 * float(xv @ energy_matrix(p) @ xv)
+    return 0.5 * float(xv * energy_weights(p) @ xv)
 
 
 def energy_rate(x: PlantState, u: float, h: float, p: MotorParams,
@@ -116,4 +123,4 @@ def energy_rate_psi(x: PlantState, u: float, psi: np.ndarray, p: MotorParams) ->
     such as ``DiscreteModel.psi``; equal to ``energy_rate`` at the same h."""
     A, B = continuous_matrices(p)
     xv = x.as_array()
-    return float(xv @ energy_matrix(p) @ psi @ (A @ xv + B * u))
+    return float(xv * energy_weights(p) @ psi @ (A @ xv + B * u))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
             V1_ok=sample.V1_ok, V2_ok=sample.V2_ok, cond_main=sample.condition_main,
         ))
         xv = model.F @ state.as_array() + model.G * out.u
-        if not np.all(np.isfinite(xv)) or np.max(np.abs(xv)) > DIVERGENCE_LIMIT:
+        if not np.isfinite(xv).all() or np.abs(xv).max() > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t = {t + h:.6f} s", records)
         state = PlantState.from_array(xv)
@@ -157,12 +158,11 @@ def compare_gain_modes(cfg: SimConfig) -> ComparisonResult:
     return ComparisonResult(dynamic=trace_dyn, constant=trace_con, summary=summary)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# one row of the trace CSV: floats in round-trip precision (repr), k and the
+# booleans as integers (1/0), guard_event as its name
+_ROW_FORMAT = ",".join({"int": "%d", "float": "%r", "bool": "%d", "str": "%s"}[f.type]
+                       for f in fields(TraceRecord)) + "\n"
+_ROW_VALUES = attrgetter(*TRACE_COLUMNS)
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:
@@ -173,10 +173,8 @@ def write_trace_csv(trace: list[TraceRecord], path) -> None:
     bytes.
     """
     with Path(path).open("w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for r in trace:
-            w.writerow([_format_cell(getattr(r, name)) for name in TRACE_COLUMNS])
+        f.write(",".join(TRACE_COLUMNS) + "\n")
+        f.writelines(_ROW_FORMAT % _ROW_VALUES(r) for r in trace)
 
 
 def read_trace_csv(path) -> list[TraceRecord]:

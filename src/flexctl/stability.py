@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet
-from .discretizer import DiscreteModel, discretize, rotational_row
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy, energy_rate_psi
+from .controller import GainSet, _law_terms
+from .discretizer import DiscreteModel, discretize
+from .plant import DesiredState, MotorParams, PlantState
 
 
 @dataclass(frozen=True)
@@ -75,51 +75,42 @@ def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
          + (k_D/h)(omega - omega_d)(F_m x - omega)
          + k_P (theta - theta_d) omega
     """
-    E_k = energy(x, p)
-    f_m = rotational_row(model)
-    xv = x.as_array()
-    return (k_E_used * E_k * energy_rate_psi(x, u, model.psi, p)
-            + gains.k_D / model.h * (x.omega - d.omega_d) * (float(f_m @ xv) - x.omega)
-            + gains.k_P * (x.theta - d.theta_d) * x.omega)
+    terms = _law_terms(x, d, model, gains, p)
+    return terms.rate(k_E_used, terms.ax + model.B * u)
+
+
+def _v1_margin(x: PlantState, d: DesiredState, h: float, gains: GainSet, fmx: float) -> float:
+    """V1 left-hand side from F_m x already formed; F*_m x = -F_m x."""
+    return (gains.k_P * (x.theta - d.theta_d) * x.omega
+            - gains.k_D / h * (x.omega - d.omega_d) * (-fmx - x.omega))
 
 
 def v1_margin(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet) -> float:
     """Left-hand side of V1 (<= 0 required):
     k_P (theta - theta_d) omega - (k_D/h)(omega - omega_d)(F*_m x - omega).
     """
-    f_m_star = -rotational_row(model)
-    xv = x.as_array()
-    return (gains.k_P * (x.theta - d.theta_d) * x.omega
-            - gains.k_D / model.h * (x.omega - d.omega_d) * (float(f_m_star @ xv) - x.omega))
+    return _v1_margin(x, d, model.h, gains, float(model.F[1] @ x.as_array()))
 
 
 def check_conditions(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
                      gains: GainSet, k_E_used: float, p: MotorParams) -> LyapunovSample:
     """Evaluate every stability diagnostic at one sample."""
-    E_k = energy(x, p)
-    V = lyapunov(x, d, E_k, gains, k_E_used)
-    Vp = v_prime(x, d, u, model, gains, k_E_used, p)
-
-    v1 = v1_margin(x, d, model, gains)
-
-    A, B = continuous_matrices(p)
-    xv = x.as_array()
-    closed = A @ xv + B * u           # B u + A x
-    v2 = float(np.max(closed))
-
-    f_m = rotational_row(model)
-    low = gains.k_D * (x.omega - d.omega_d) * (float(f_m @ xv) - x.omega)
+    terms = _law_terms(x, d, model, gains, p)
+    closed = terms.ax + model.B * u   # B u + A x
+    Vp = terms.rate(k_E_used, closed)
+    v1 = _v1_margin(x, d, model.h, gains, terms.fmx)
+    low = gains.k_D * (x.omega - d.omega_d) * (terms.fmx - x.omega)
 
     return LyapunovSample(
-        V=V,
+        V=lyapunov(x, d, terms.E, gains, k_E_used),
         V_prime=Vp,
         condition_main=Vp <= 0.0,
         V1_ok=v1 <= 0.0,
-        V2_ok=bool(np.all(closed <= 0.0)),
+        V2_ok=bool((closed <= 0.0).all()),
         boundary_low_ok=low <= 0.0,
-        boundary_high_ok=bool(np.all(-closed <= 0.0)),  # -A x <= B u
+        boundary_high_ok=bool((-closed <= 0.0).all()),  # -A x <= B u
         v1_margin=v1,
-        v2_margin=v2,
+        v2_margin=float(closed.max()),
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexctl.controller import ControlOutput, GainSet, GuardSet, control_input, dynamic_gain
+from flexctl.controller import ControlOutput, GainSet, GuardSet, control_input
 from flexctl.discretizer import SamplingTooSmallError, discretize, rotational_row
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
@@ -15,20 +15,24 @@ DES = DesiredState()
 X0 = PlantState(0.4, 5.0, 0.1)
 
 
+def retuned_gain(x, u_prev, h, gains=GAINS):
+    return control_input(x, DES, discretize(P, h), gains, GUARDS, P, u_prev).k_E_used
+
+
 def test_dynamic_gain_at_standard_period():
     # ratio is exactly one when h_k equals h_s, so k_E = k_E_s + K_c
     for u_prev in (0.0, 5.0, -12.0):
-        gain = dynamic_gain(X0, u_prev, GAINS.h_s, GAINS, GUARDS, P)
+        gain = retuned_gain(X0, u_prev, GAINS.h_s)
         assert gain == pytest.approx(725.0 + 610.0, abs=1e-9)
 
 
 def test_constant_mode_returns_standard_gain():
     gains = GainSet(gain_mode="constant")
-    assert dynamic_gain(X0, 0.0, 0.07, gains, GUARDS, P) == 725.0
+    assert retuned_gain(X0, 0.0, 0.07, gains) == 725.0
 
 
 def test_zero_state_falls_back():
-    assert dynamic_gain(PlantState(0, 0, 0), 0.0, 0.08, GAINS, GUARDS, P) == GAINS.k_E_s
+    assert retuned_gain(PlantState(0, 0, 0), 0.0, 0.08) == GAINS.k_E_s
 
 
 def test_dynamic_gain_clamped_from_below():
@@ -37,7 +41,7 @@ def test_dynamic_gain_clamped_from_below():
         x = PlantState(*rng.uniform(-10, 10, size=3))
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
-        assert dynamic_gain(x, u_prev, h, GAINS, GUARDS, P) >= GAINS.K_c
+        assert retuned_gain(x, u_prev, h) >= GAINS.K_c
 
 
 def test_rest_state_at_origin_gets_energy_floor():

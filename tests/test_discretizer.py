@@ -103,3 +103,18 @@ def test_model_validation():
         DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.0)
     with pytest.raises(ValueError):
         DiscreteModel(F=np.full((3, 3), np.nan), G=np.zeros(3), h=0.1)
+    with pytest.raises(ValueError):  # the continuous pair is required
+        DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3))
+
+
+def test_model_carries_its_own_continuous_pair():
+    p = MotorParams(fidelity="paper_literal")
+    A, B = continuous_matrices(p)
+    m = discretize(p, 0.11)
+    np.testing.assert_array_equal(m.A, A)
+    np.testing.assert_array_equal(m.B, B)
+    lti = discretize_lti(A, B, 0.11)
+    A[:] = 0.0
+    B[:] = 0.0
+    np.testing.assert_array_equal(lti.A, m.A)
+    np.testing.assert_array_equal(lti.B, m.B)

@@ -126,9 +126,13 @@ def test_paper_literal_theta_row_is_decoupled():
     assert B[2] == 0.0
 
 
-def test_state_validation_and_roundtrip():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_state_validation_and_roundtrip(component, bad):
+    entries = [0.0, 0.0, 0.0]
+    entries[component] = bad
     with pytest.raises(ValueError):
-        PlantState(np.nan, 0.0, 0.0)
+        PlantState(*entries)
     x = PlantState(1.0, 2.0, 3.0)
     assert PlantState.from_array(x.as_array()) == x
 

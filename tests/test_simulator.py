@@ -1,3 +1,4 @@
+import csv
 import warnings
 from dataclasses import replace
 
@@ -110,6 +111,44 @@ def test_trace_csv_roundtrip(tmp_path):
     assert read_trace_csv(path) == trace
     header = path.read_text().splitlines()[0]
     assert header == ",".join(TRACE_COLUMNS)
+
+
+def format_cell_reference(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_trace_csv_reference(trace, path):
+    """The trace writer as a csv.writer over per-cell formatting."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(TRACE_COLUMNS)
+        for r in trace:
+            w.writerow([format_cell_reference(getattr(r, name)) for name in TRACE_COLUMNS])
+
+
+def reference_traces():
+    for seed in (1, 2, 3):
+        for gain_mode in ("dynamic", "constant"):
+            base = nominal_config(seed=seed)
+            yield f"s{seed}-{gain_mode}", run(replace(base, gains=replace(base.gains, gain_mode=gain_mode)))
+    yield "per_step", run(SimConfig(schedule=ScheduleSpec(seed=4, mode="per_step")))
+    with pytest.raises(DivergenceError) as excinfo:
+        run(SimConfig(params=MotorParams(fidelity="paper_literal"),
+                      schedule=ScheduleSpec(seed=2), duration=30.0))
+    yield "paper_literal-partial", excinfo.value.trace
+
+
+def test_trace_csv_matches_reference_writer(tmp_path):
+    for name, trace in reference_traces():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        write_trace_csv(trace, got)
+        write_trace_csv_reference(trace, want)
+        assert got.read_bytes() == want.read_bytes(), name
+        assert read_trace_csv(got) == trace, name
 
 
 def test_trace_csv_bytes_deterministic(tmp_path):

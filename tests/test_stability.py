@@ -83,6 +83,31 @@ def test_v_prime_closure_with_control_input():
         assert abs(v_prime(x, DES, out.u, model, GAINS, out.k_E_used, P)) < 1e-6
 
 
+def test_one_law_across_entry_points():
+    # check_conditions, v_prime and v1_margin evaluate the same terms to the
+    # bit, and control_input zeroes exactly that V'
+    guards = GuardSet()
+    rng = np.random.default_rng(5)
+    closed = 0
+    for _ in range(200):
+        x = PlantState(*rng.uniform(-10, 10, size=3))
+        h = float(rng.uniform(0.05, 0.2))
+        u = float(rng.uniform(-45, 45))
+        k_E = float(rng.uniform(GAINS.K_c, 2000.0))
+        model = discretize(P, h)
+        s = check_conditions(x, DES, u, model, GAINS, k_E, P)
+        assert s.V_prime == v_prime(x, DES, u, model, GAINS, k_E, P)
+        assert s.v1_margin == v1_margin(x, DES, model, GAINS)
+        out = control_input(x, DES, model, GAINS, guards, P, u)
+        if out.saturated or out.guard_event != "none":
+            continue
+        closed += 1
+        vp = check_conditions(x, DES, out.u, model, GAINS, out.k_E_used, P).V_prime
+        assert vp == v_prime(x, DES, out.u, model, GAINS, out.k_E_used, P)
+        assert abs(vp) < 1e-6
+    assert closed >= 100
+
+
 def test_v_prime_approximates_forward_difference():
     # residual against the true forward difference shrinks as h shrinks
     x = PlantState(0.1, 0.5, 1.5)
