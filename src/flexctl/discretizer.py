@@ -30,26 +30,22 @@ class DiscreteModel:
     (F, G, Psi, h) with Psi = phi(A h), the series value F and G come from,
     together with the continuous pair (A, B) the model was built from.
 
-    Build it with ``discretize`` or ``discretize_lti``; ``psi``, ``A`` and
-    ``B`` are required.
+    Build it with ``discretize`` or ``discretize_lti``.
     """
 
     F: np.ndarray
     G: np.ndarray
     h: float
-    psi: np.ndarray | None = None
-    A: np.ndarray | None = None
-    B: np.ndarray | None = None
+    psi: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"h must be > 0, got {self.h}")
-        if not (np.isfinite(self.F).all() and np.isfinite(self.G).all()):
-            raise ValueError("F and G must be finite")
-        for name in ("psi", "A", "B"):
-            value = getattr(self, name)
-            if value is None or not np.isfinite(value).all():
-                raise ValueError(f"{name} must be given and finite")
+        for name in ("F", "G", "psi", "A", "B"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
 
 def discretize_lti(A, B, h: float, options: SeriesOptions | None = None) -> DiscreteModel:

@@ -15,18 +15,31 @@ def test_degraded_series_tolerance_fails_the_suite():
     assert not all(r.passed for r in results)
 
 
-# benchmark-derived seeds (workload seed, index) -> derived seed where the
-# solve-based phi misses its own commutation check (tolerance 1e-10)
+# derived seeds (benchmark seed, index) where the earlier phi, which rebuilt
+# phi(M) by solving M*phi(M) = e^M - I, missed the commutation check
+# (tolerance 1e-10) by the error shown
 HARD_SEEDS = [
+    2966626845,  # (2, 121): 3.8e-10
     3530056913,  # (11, 80): 2.0e-10
-    292216036,   # (54, 78): 1.0e-10
-    3660901974,  # (76, 95): 2.4e-10
+    2662395440,  # (11, 115): 4.5e-10
     2637905530,  # (22, 47): 1.3e-9
+    4293332209,  # (22, 56): 2.3e-10
+    2878070603,  # (30, 126): 1.5e-10
+    877707997,   # (35, 88): 2.7e-10
+    1362587956,  # (38, 127): 5.4e-9
+    975501656,   # (40, 19): 2.6e-10
+    4264491266,  # (51, 18): 1.4e-10
+    292216036,   # (54, 78): 1.0e-10
+    306051596,   # (57, 117): 1.1e-10
+    2946643738,  # (60, 11): 1.4e-10
+    336775819,   # (67, 22): 1.4e-9
+    1179697361,  # (67, 139): 1.4e-10
+    3660901974,  # (76, 95): 2.4e-10
+    2880925889,  # (77, 70): 3.3e-10
+    1911631334,  # (87, 16): 7.4e-9
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="the solve-based phi misses its own commutation "
-                                       "check on these seeds")
 @pytest.mark.parametrize("seed", HARD_SEEDS)
 def test_identity_suite_passes_on_hard_seed(seed):
     results = run_identity_checks(seed=seed)

@@ -99,11 +99,14 @@ def test_sampling_floor():
 
 def test_model_validation():
     from flexctl.discretizer import DiscreteModel
+    fields = dict(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3), A=np.eye(3), B=np.zeros(3))
+    DiscreteModel(**fields)
     with pytest.raises(ValueError):
-        DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.0)
-    with pytest.raises(ValueError):
-        DiscreteModel(F=np.full((3, 3), np.nan), G=np.zeros(3), h=0.1)
-    with pytest.raises(ValueError):  # the continuous pair is required
+        DiscreteModel(**{**fields, "h": 0.0})
+    for name in ("F", "G", "psi", "A", "B"):
+        with pytest.raises(ValueError):
+            DiscreteModel(**{**fields, name: np.full_like(fields[name], np.nan)})
+    with pytest.raises(TypeError):  # Psi and the continuous pair are required
         DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3))
 
 

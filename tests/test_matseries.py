@@ -1,10 +1,14 @@
 """Series operator tests against independent oracles: mpmath scalar series,
+mpmath's exponential of the augmented matrix (Van Loan, IEEE TAC 23, 1978),
 scipy's scaling-and-squaring exponential, and composite Simpson quadrature.
 """
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from flexctl.matseries import SeriesConvergenceError, SeriesOptions, expm_via_phi, phi
@@ -17,6 +21,24 @@ def phi_oracle(M):
     """(e^M - I) M^-1 via scipy's exponential; M must be invertible."""
     M = np.asarray(M, dtype=float)
     return np.linalg.solve(M, expm(M) - np.eye(M.shape[0]))
+
+
+def augmented_phi_oracle(M, dps=30):
+    """phi(M) as the top-right block of expm([[M, I], [0, 0]]); M may be singular.
+
+    The exponential is mpmath's, in dps digits: scipy's expm takes a special
+    branch for triangular input that loses accuracy when diagonal entries are
+    close (expm([[0, 2, 8], [0, 1e-20, 8], [0, 0, 8]])[0, 1] comes out 0,
+    not 2), and this block matrix is triangular whenever M is.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = M
+    aug[:n, n:] = np.eye(n)
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(aug.tolist()))
+        return np.array([[float(E[i, n + j]) for j in range(n)] for i in range(n)])
 
 
 def scalar_phi_oracle(a, dps=50):
@@ -122,11 +144,48 @@ def test_truncation_monotonicity():
             assert fine <= coarse + 1e-15
 
 
-def test_singular_argument_falls_back_to_direct_series():
-    M = np.diag([3.0, 2.0, 0.0])  # singular, norm forces the scaled path first
+def test_singular_argument_takes_the_doubling_path():
+    M = np.diag([3.0, 2.0, 0.0])  # singular, and its norm is above the series limit
     got = phi(M)
     want = np.diag([(np.expm1(3.0)) / 3.0, (np.expm1(2.0)) / 2.0, 1.0])
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def square_matrices(bound, max_n=4):
+    return st.integers(1, max_n).flatmap(
+        lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(-bound, bound)))
+
+
+def singular_matrices(bound, max_n=4):
+    """Products X @ Y with X n x (n-1) and Y (n-1) x n, so the rank is below n."""
+    return st.integers(2, max_n).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, (n, n - 1), elements=st.floats(-bound, bound)),
+        hnp.arrays(np.float64, (n - 1, n), elements=st.floats(-bound, bound)),
+    )).map(lambda factors: factors[0] @ factors[1])
+
+
+def assert_matches_augmented_oracle(M):
+    want = augmented_phi_oracle(M)
+    assert np.max(np.abs(phi(M) - want)) / np.max(np.abs(want)) < 1e-8
+
+
+@settings(deadline=None)
+@given(singular_matrices(5.0))
+@example(np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -50.0]]))
+def test_singular_argument_matches_augmented_oracle(M):
+    assert_matches_augmented_oracle(M)
+
+
+@settings(deadline=None)
+@given(square_matrices(100.0))
+def test_nilpotent_argument_matches_augmented_oracle(A):
+    assert_matches_augmented_oracle(np.triu(A, 1))
+
+
+@settings(deadline=None)
+@given(square_matrices(100.0))
+def test_large_norm_argument_matches_augmented_oracle(M):
+    assert_matches_augmented_oracle(M)
 
 
 def test_non_convergence_raises():
@@ -137,6 +196,13 @@ def test_non_convergence_raises():
 def test_overflowing_exponential_raises():
     with pytest.raises(OverflowError):
         phi(np.array([[2000.0]]))
+
+
+def test_argument_just_below_overflow_stays_accurate():
+    # e^709 is finite but 2^11 * e^709 / 709 is not, so the doubling must keep
+    # P at the scale of phi; squaring up to e^709 costs about 1e-11 relative
+    got = phi(np.array([[709.0]]))[0, 0]
+    assert got == pytest.approx(np.expm1(709.0) / 709.0, rel=1e-10)
 
 
 def test_large_stable_argument_stays_accurate():

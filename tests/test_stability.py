@@ -163,12 +163,18 @@ def test_v1_holds_in_high_kp_regime_on_approach_states():
     assert ok / n >= 0.95
 
 
+# |omega| below this is the round-off floor the loop parks at; there every
+# V1 term carries the factor omega, so the sign of the margin is round-off
+OMEGA_FLOOR = 1e-12
+
+
 def test_v1_census_on_nominal_run():
-    # recorded census for the seeded reference run; near rest the margin sits
-    # at numerical zero so the rate is well below one
+    # recorded census for the seeded reference run, on the transient steps
+    # only: the decay to rest alternates the sign of omega, so V1 holds on
+    # every other step; the steps at the floor are not asserted on
     trace = run(SimConfig(schedule=ScheduleSpec(seed=1)))
-    frac = np.mean([r.V1_ok for r in trace])
-    assert frac >= 0.45
+    transient = [r.V1_ok for r in trace if abs(r.omega) >= OMEGA_FLOOR]
+    assert transient == [True, False, False] + [True, False] * 10
 
 
 def test_stability_map_single_cell_at_rest():
