@@ -85,9 +85,8 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     integ = 0.0
     for M in mats[: max(trials // 2, 1)] + _reference_cases():
         h = float(rng.uniform(0.01, 0.5)) if _max_norm(M) <= 5.0 else 1.0
-        Mh = M * h
-        integ = max(integ, _max_norm(integral_oracle(M, h) - h * phi(Mh, options))
-                    / max(_max_norm(h * phi(Mh, options)), 1e-300))
+        hphi = h * phi(M * h, options)
+        integ = max(integ, _max_norm(integral_oracle(M, h) - hphi) / max(_max_norm(hphi), 1e-300))
 
     disc = 0.0
     p = MotorParams()

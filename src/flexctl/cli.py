@@ -237,6 +237,8 @@ def cmd_stability_map(args) -> int:
         gains = replace(gains, k_P=args.kp)
     if args.kd is not None:
         gains = replace(gains, k_D=args.kd)
+    if not np.isfinite([args.h_min, args.h_max, args.omega_min, args.omega_max]).all():
+        raise ConfigError("axis bounds must be finite")
     if args.h_min > args.h_max or args.omega_min > args.omega_max:
         raise ConfigError("axis bounds must satisfy min <= max")
     if args.n_h < 1 or args.n_omega < 1:

@@ -41,13 +41,13 @@ def _as_square(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
 
 
 def _max_norm(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M)))
+    return float(np.abs(M).max())
 
 
 def _phi_series(M: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
@@ -92,7 +92,7 @@ def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
             P = P @ (E + eye)
             P *= 0.5
             E = E @ E
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(E))):
+    if not (np.isfinite(P).all() and np.isfinite(E).all()):
         raise OverflowError("e^M overflows the float range; phi(M) is not representable")
     return P
 

@@ -13,9 +13,7 @@ every platform and run. Modes:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -64,19 +62,3 @@ class Scheduler:
             self._remaining = int(self._rng.integers(1, spec.hold_max + 1))
         self._remaining -= 1
         return self._held_period
-
-    def take(self, n: int) -> list[float]:
-        return [self.next_period() for _ in range(n)]
-
-
-def write_schedule_csv(spec: ScheduleSpec, n_steps: int, path) -> None:
-    """Emit the first n_steps periods of a schedule as `k,t,h_k` rows."""
-    sched = Scheduler(spec)
-    t = 0.0
-    with Path(path).open("w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["k", "t", "h_k"])
-        for k in range(n_steps):
-            h = sched.next_period()
-            w.writerow([k, repr(t), repr(h)])
-            t += h

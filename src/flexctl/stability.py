@@ -10,7 +10,6 @@ and the worst-component margin is reported so weaker readings stay possible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,12 +51,13 @@ class StabilityGrid:
         return int(np.sum(self.margins <= 0.0))
 
     def write_csv(self, path) -> None:
+        """One `axis1,axis2,V1_margin` row per cell, axis2 fastest, floats as repr."""
+        axis1, axis2, margins = (np.asarray(a, dtype=float).tolist() for a in
+                                 (self.axis1_values, self.axis2_values, self.margins))
         with Path(path).open("w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["axis1", "axis2", "V1_margin"])
-            for i, a1 in enumerate(self.axis1_values):
-                for j, a2 in enumerate(self.axis2_values):
-                    w.writerow([repr(float(a1)), repr(float(a2)), repr(float(self.margins[i, j]))])
+            f.write("axis1,axis2,V1_margin\n")
+            f.writelines("%r,%r,%r\n" % (a1, a2, m)
+                         for a1, row in zip(axis1, margins) for a2, m in zip(axis2, row))
 
 
 def lyapunov(x: PlantState, d: DesiredState, E: float, gains: GainSet, k_E_used: float) -> float:
@@ -119,20 +119,31 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
                   desired: DesiredState | None = None) -> StabilityGrid:
     """V1 margin over an (h, |omega|) grid at constant current and angle.
 
-    Cells are independent; one discretization is shared per h row.
+    Each h row is one discretization and one array expression over all the
+    omega values, in the operation order of `v1_margin`, so every cell has
+    the bits of the per-cell call.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
     if h_values.size == 0 or omega_values.size == 0:
         raise ValueError("grid axes must be non-empty")
+    if not (np.isfinite(omega_values).all() and np.isfinite(current_I) and np.isfinite(theta)):
+        raise ValueError("state entries must be finite")
     d = desired if desired is not None else DesiredState()
 
+    # the states as a stack of 1x3 rows: matmul with the 3x1 column F_m then
+    # rounds each F_m x as the 3-element product of the per-cell call does
+    X = np.empty((omega_values.size, 1, 3))
+    X[:, 0, 0] = current_I
+    X[:, 0, 1] = omega_values
+    X[:, 0, 2] = theta
+    rate_P = gains.k_P * (theta - d.theta_d) * omega_values
+    err_D = omega_values - d.omega_d
     margins = np.empty((h_values.size, omega_values.size))
-    for i, h in enumerate(h_values):
-        model = discretize(p, float(h))
-        for j, omega in enumerate(omega_values):
-            state = PlantState(current_I=current_I, omega=float(omega), theta=theta)
-            margins[i, j] = v1_margin(state, d, model, gains)
+    for i, h in enumerate(h_values.tolist()):
+        model = discretize(p, h)
+        fmx = np.matmul(X, model.F[1][:, None])[:, 0, 0]
+        margins[i] = rate_P - gains.k_D / model.h * err_D * (-fmx - omega_values)
     return StabilityGrid(
         axis1_name="h",
         axis1_values=h_values,

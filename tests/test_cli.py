@@ -130,6 +130,13 @@ def test_stability_map_single_point(tmp_path):
     assert float(rows[1].split(",")[2]) == 0.0
 
 
+def test_stability_map_non_finite_bound_is_usage_error(tmp_path):
+    res = flexctl(["stability-map", "--out", "map.csv", "--omega-max", "inf"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == "error: axis bounds must be finite\n"
+    assert not (tmp_path / "map.csv").exists()
+
+
 def test_validate_passes(tmp_path):
     res = flexctl(["validate", "--trials", "10"], tmp_path)
     assert res.returncode == 0, res.stderr

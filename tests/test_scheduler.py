@@ -1,35 +1,35 @@
 import numpy as np
 import pytest
 
-from flexctl.scheduler import Scheduler, ScheduleSpec, write_schedule_csv
+from flexctl.scheduler import Scheduler, ScheduleSpec
 
 
 def test_fixed_mode_always_emits_h_min():
     sched = Scheduler(ScheduleSpec(h_min=0.11, h_max=0.2, mode="fixed"))
-    assert sched.take(50) == [0.11] * 50
+    assert [sched.next_period() for _ in range(50)] == [0.11] * 50
 
 
 def test_same_seed_same_sequence():
-    spec = ScheduleSpec(seed=42)
-    assert Scheduler(spec).take(200) == Scheduler(spec).take(200)
+    a, b = Scheduler(ScheduleSpec(seed=42)), Scheduler(ScheduleSpec(seed=42))
+    assert [a.next_period() for _ in range(200)] == [b.next_period() for _ in range(200)]
 
 
 def test_different_seed_different_sequence():
-    a = Scheduler(ScheduleSpec(seed=1)).take(20)
-    b = Scheduler(ScheduleSpec(seed=2)).take(20)
-    assert a != b
+    a, b = Scheduler(ScheduleSpec(seed=1)), Scheduler(ScheduleSpec(seed=2))
+    assert [a.next_period() for _ in range(20)] != [b.next_period() for _ in range(20)]
 
 
 def test_per_step_uniform_statistics():
     sched = Scheduler(ScheduleSpec(h_min=0.05, h_max=0.2, seed=123, mode="per_step"))
-    draws = np.array(sched.take(10_000))
+    draws = np.array([sched.next_period() for _ in range(10_000)])
     assert np.all((draws >= 0.05) & (draws <= 0.2))
     assert abs(draws.mean() - 0.125) < 0.005
 
 
 def test_random_hold_structure():
     spec = ScheduleSpec(h_min=0.05, h_max=0.2, seed=5, hold_max=10, mode="random_hold")
-    draws = Scheduler(spec).take(500)
+    sched = Scheduler(spec)
+    draws = [sched.next_period() for _ in range(500)]
     assert all(0.05 <= h <= 0.2 for h in draws)
     # run lengths of identical periods never exceed hold_max; holds do occur
     runs = []
@@ -58,18 +58,3 @@ def test_spec_validation():
         ScheduleSpec(seed=-1)
     with pytest.raises(ValueError):
         ScheduleSpec(seed=2**64)
-
-
-def test_schedule_csv_export(tmp_path):
-    path = tmp_path / "schedule.csv"
-    write_schedule_csv(ScheduleSpec(seed=9), 25, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,t,h_k"
-    assert len(lines) == 26
-    # t column accumulates the h column
-    ts = [float(line.split(",")[1]) for line in lines[1:]]
-    hs = [float(line.split(",")[2]) for line in lines[1:]]
-    t = 0.0
-    for logged_t, h in zip(ts, hs):
-        assert logged_t == t
-        t += h

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -185,7 +188,6 @@ def test_stability_map_single_cell_at_rest():
 
 
 def test_stability_map_monotone_in_kp():
-    from dataclasses import replace
     h_vals = np.linspace(0.01, 0.3, 8)
     om_vals = np.linspace(0.0, 10.0, 8)
     hi = stability_map(P, GAINS, h_vals, om_vals)
@@ -193,6 +195,67 @@ def test_stability_map_monotone_in_kp():
     # constant theta = 0.1 < theta_d: (theta - theta_d) * omega <= 0 on the grid
     assert np.all(hi.margins <= lo.margins + 1e-12)
     assert hi.stable_count() >= lo.stable_count()
+
+
+def stability_map_reference(p, gains, h_values, omega_values, current_I, theta, d):
+    """The map as one v1_margin call per cell."""
+    rows = []
+    for h in h_values:
+        model = discretize(p, float(h))
+        rows.append([v1_margin(PlantState(current_I, float(om), theta), d, model, gains)
+                     for om in omega_values])
+    return np.array(rows)
+
+
+MAP_CASES = [
+    # (gains, desired, current_I, theta, h values, omega values)
+    (GAINS, DES, 0.4, 0.1, np.linspace(0.01, 0.3, 50), np.linspace(0.0, 10.0, 50)),
+    (replace(GAINS, k_P=50.0), DES, 0.4, 0.1,
+     np.linspace(0.01, 0.3, 20), np.linspace(0.0, 10.0, 20)),
+    (replace(GAINS, k_P=1.0, k_D=0.5), DES, 0.4, 0.1,
+     np.linspace(0.01, 0.3, 17), np.linspace(-8.0, 8.0, 23)),
+    (replace(GAINS, k_P=900.0, k_D=3.0), DesiredState(theta_d=-1.5, omega_d=0.7), -2.5, 4.0,
+     np.linspace(0.05, 0.5, 9), np.linspace(-40.0, 25.0, 31)),
+    (GAINS, DesiredState(theta_d=0.3, omega_d=-2.0), 7.0, -3.0, [0.11], [-4.25]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(MAP_CASES)))
+def test_stability_map_matches_per_cell_v1_margin(case):
+    gains, d, cur, th, h_vals, om_vals = MAP_CASES[case]
+    grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=d)
+    want = stability_map_reference(P, gains, h_vals, om_vals, cur, th, d)
+    assert np.array_equal(grid.margins, want)
+
+
+def write_map_csv_reference(grid, path):
+    """The map writer as a csv.writer over per-cell repr."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["axis1", "axis2", "V1_margin"])
+        for i, a1 in enumerate(grid.axis1_values):
+            for j, a2 in enumerate(grid.axis2_values):
+                w.writerow([repr(float(a1)), repr(float(a2)), repr(float(grid.margins[i, j]))])
+
+
+def test_stability_map_csv_matches_reference_writer(tmp_path):
+    for case, (gains, d, cur, th, h_vals, om_vals) in enumerate(MAP_CASES):
+        grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=d)
+        got, want = tmp_path / f"{case}.csv", tmp_path / f"{case}.ref.csv"
+        grid.write_csv(got)
+        write_map_csv_reference(grid, want)
+        assert got.read_bytes() == want.read_bytes(), case
+
+
+@pytest.mark.parametrize("state", [
+    {"omega_values": [0.0, np.nan]},
+    {"current_I": np.inf},
+    {"theta": np.nan},
+])
+def test_stability_map_non_finite_state_rejected(state):
+    kwargs = {"omega_values": [0.0, 1.0], **state}
+    with pytest.raises(ValueError, match="finite"):
+        stability_map(P, GAINS, [0.11], **kwargs)
 
 
 def test_stability_map_export(tmp_path):
