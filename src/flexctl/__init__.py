@@ -3,20 +3,21 @@
 __version__ = "0.1.0"
 
 from .controller import ControlOutput, GainSet, GuardSet, control_input, standard_psi
-from .discretizer import DiscreteModel, SamplingTooSmallError, discretize, rotational_row
+from .discretizer import (DiscreteModel, SamplingTooSmallError, discretize, discretize_periods,
+                          rotational_row)
 from .matseries import SeriesConvergenceError, SeriesOptions, expm_via_phi, phi
 from .plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
-                    energy_matrix, energy_rate, energy_rate_psi, energy_weights)
+                    energy_rate, energy_weights)
 from .scheduler import Scheduler, ScheduleSpec
 from .simulator import DivergenceError, SimConfig, TraceRecord, compare_gain_modes, run
 from .stability import LyapunovSample, StabilityGrid, check_conditions, lyapunov, stability_map, v_prime
 
 __all__ = [
     "ControlOutput", "GainSet", "GuardSet", "control_input", "standard_psi",
-    "DiscreteModel", "SamplingTooSmallError", "discretize", "rotational_row",
+    "DiscreteModel", "SamplingTooSmallError", "discretize", "discretize_periods", "rotational_row",
     "SeriesConvergenceError", "SeriesOptions", "expm_via_phi", "phi",
     "DesiredState", "MotorParams", "PlantState", "continuous_matrices",
-    "energy", "energy_matrix", "energy_rate", "energy_rate_psi", "energy_weights",
+    "energy", "energy_rate", "energy_weights",
     "Scheduler", "ScheduleSpec",
     "DivergenceError", "SimConfig", "TraceRecord", "compare_gain_modes", "run",
     "LyapunovSample", "StabilityGrid", "check_conditions", "lyapunov",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .discretizer import discretize
+from .discretizer import discretize_periods
 from .matseries import SeriesOptions, expm_via_phi, phi
 from .plant import MotorParams, continuous_matrices
 
@@ -29,6 +29,11 @@ class CheckResult:
 
 def _max_norm(M) -> float:
     return float(np.max(np.abs(M)))
+
+
+def _max_norms(S: np.ndarray) -> np.ndarray:
+    """The max-norm of each matrix in a (k, n, n) stack."""
+    return np.abs(S).max(axis=(1, 2))
 
 
 def _rel_err(got, want) -> float:
@@ -68,25 +73,26 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     tolerance be injected to confirm the checks can actually fail."""
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = _random_matrices(rng, trials) + _reference_cases()
+    half = mats[: max(trials // 2, 1)]
+    # every draw comes before any evaluation, in the order of the checks
+    Ts = [_well_conditioned(rng) for _ in half]
+    integ_mats = half + _reference_cases()
+    hs = [float(rng.uniform(0.01, 0.5)) if _max_norm(M) <= 5.0 else 1.0 for M in integ_mats]
 
-    commut = 0.0
-    expo = 0.0
-    simil = 0.0
-    for M in mats:
-        ph = phi(M, options)
-        commut = max(commut, _max_norm(M @ ph - ph @ M) / (1.0 + _max_norm(M) ** 2))
-        expo = max(expo, _rel_err(expm_via_phi(M, options), expm(M)))
-    for M in mats[: max(trials // 2, 1)]:
-        T = _well_conditioned(rng)
-        lhs = phi(np.linalg.solve(T, M @ T), options)
-        rhs = np.linalg.solve(T, phi(M, options) @ T)
-        simil = max(simil, _rel_err(lhs, rhs))
+    S = np.stack(mats)
+    ph = phi(S, options)
+    commut = float((_max_norms(S @ ph - ph @ S) / (1.0 + _max_norms(S) ** 2)).max())
+    expo = max(map(_rel_err, expm_via_phi(S, options), (expm(M) for M in mats)))
 
-    integ = 0.0
-    for M in mats[: max(trials // 2, 1)] + _reference_cases():
-        h = float(rng.uniform(0.01, 0.5)) if _max_norm(M) <= 5.0 else 1.0
-        hphi = h * phi(M * h, options)
-        integ = max(integ, _max_norm(integral_oracle(M, h) - hphi) / max(_max_norm(hphi), 1e-300))
+    T = np.stack(Ts)
+    lhs = phi(np.linalg.solve(T, S[: len(half)] @ T), options)
+    rhs = np.linalg.solve(T, ph[: len(half)] @ T)
+    simil = max(map(_rel_err, lhs, rhs))
+
+    H = np.array(hs)[:, None, None]
+    hphi = H * phi(np.stack(integ_mats) * H, options)
+    integ = max(_max_norm(integral_oracle(M, h) - hp) / max(_max_norm(hp), 1e-300)
+                for M, h, hp in zip(integ_mats, hs, hphi))
 
     disc = 0.0
     p = MotorParams()
@@ -94,8 +100,8 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     aug = np.zeros((4, 4))
     aug[:3, :3] = A
     aug[:3, 3] = B
-    for h in np.linspace(0.01, 0.3, 50):
-        m = discretize(p, float(h), options=options)
+    periods = np.linspace(0.01, 0.3, 50).tolist()
+    for h, m in zip(periods, discretize_periods(p, periods, options=options)):
         big = expm(aug * h)
         disc = max(disc, _rel_err(m.F, big[:3, :3]), _rel_err(m.G, big[:3, 3]))
 

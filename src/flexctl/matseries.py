@@ -37,37 +37,29 @@ class SeriesOptions:
             raise ValueError(f"max_terms must be >= 2, got {self.max_terms}")
 
 
-def _as_square(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
-    return M
-
-
-def _max_norm(M: np.ndarray) -> float:
-    return float(np.abs(M).max())
-
-
-def _phi_series(M: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
-    """Direct evaluation of sum_i M^i/(i+1)!, truncated on term max-norm."""
-    n = M.shape[0]
-    term = np.eye(n)  # i = 0 term
+def _phi_series(X: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
+    """Direct evaluation of sum_i X^i/(i+1)! over a (k, n, n) stack, each
+    matrix truncated on its own term max-norm. A converged matrix's term is
+    zeroed, so it adds exact zeros until the last matrix converges."""
+    term = np.broadcast_to(np.eye(X.shape[-1]), X.shape).copy()  # i = 0 terms
     total = term.copy()
     for i in range(1, max_terms):
-        term = term @ M / (i + 1)
+        term = term @ X / (i + 1)
         total += term
-        if _max_norm(term) < tol:
+        norms = np.abs(term).max(axis=(1, 2))
+        done = norms < tol
+        if done.all():
             return total
+        term[done] = 0.0
     raise SeriesConvergenceError(
         f"series did not converge within {max_terms} terms "
-        f"(last term norm {_max_norm(term):.3e} >= tol {tol:.3e})"
+        f"(last term norm {norms.max():.3e} >= tol {tol:.3e})"
     )
 
 
 def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
-    """Evaluate phi(M) = I + M/2! + M^2/3! + ...
+    """Evaluate phi(M) = I + M/2! + M^2/3! + ... for an (n, n) matrix or a
+    (k, n, n) stack of them.
 
     Large arguments are scaled to X = M/2^s with max-norm <= 0.5, summed
     as P = phi(X), E = I + X*P, then doubled back s times with
@@ -75,29 +67,46 @@ def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
     Appl. Numer. Math. 59, 2009; scaling as in Higham, SIAM J. Matrix Anal.
     Appl. 26, 2005). Each halving is exact; doing it inside the loop keeps
     P at the scale of phi rather than 2^s times it, which could overflow.
+
+    In a stack every matrix keeps its own s, its own truncation point and
+    its own number of doublings, so each slice of the result has the bits
+    of the call on that matrix alone.
     """
     opts = options if options is not None else SeriesOptions()
-    M = _as_square(M)
-    norm = _max_norm(M)
-    if norm <= _SERIES_NORM_LIMIT:
-        return _phi_series(M, opts.tol, opts.max_terms)
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or 0 in M.shape:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
 
-    s = int(np.ceil(np.log2(norm / _SERIES_NORM_LIMIT)))
-    eye = np.eye(M.shape[0])
-    X = M / 2.0**s
+    stack = M.reshape(-1, *M.shape[-2:])
+    norms = np.abs(stack).max(axis=(1, 2))
+    with np.errstate(over="ignore"):  # an infinite ratio fails the check below
+        s = np.ceil(np.log2(np.maximum(norms, _SERIES_NORM_LIMIT) / _SERIES_NORM_LIMIT))
+    if s.max() >= np.finfo(float).maxexp:
+        raise OverflowError("the scaling 2^s that M needs is not representable")
+    s = s.astype(int)
+    # most doublings first, so the matrices still doubling are a leading slice
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    X = stack[order] / (2.0 ** s)[:, None, None]
     P = _phi_series(X, opts.tol, opts.max_terms)
+    eye = np.eye(M.shape[-1])
     E = eye + X @ P
     with np.errstate(over="ignore", invalid="ignore"):  # overflow detected below
-        for _ in range(s):
-            P = P @ (E + eye)
-            P *= 0.5
-            E = E @ E
+        for r in range(s[0]):
+            m = int(np.count_nonzero(s > r))
+            P[:m] = P[:m] @ (E[:m] + eye) * 0.5
+            E[:m] = E[:m] @ E[:m]
     if not (np.isfinite(P).all() and np.isfinite(E).all()):
         raise OverflowError("e^M overflows the float range; phi(M) is not representable")
-    return P
+    out = np.empty_like(P)
+    out[order] = P
+    return out.reshape(M.shape)
 
 
 def expm_via_phi(M, options: SeriesOptions | None = None) -> np.ndarray:
-    """Matrix exponential through the series operator: e^M = I + M*phi(M)."""
-    M = _as_square(M)
-    return np.eye(M.shape[0]) + M @ phi(M, options)
+    """Matrix exponential through the series operator: e^M = I + M*phi(M),
+    for an (n, n) matrix or a (k, n, n) stack."""
+    P = phi(M, options)
+    return np.eye(P.shape[-1]) + np.asarray(M, dtype=float) @ P

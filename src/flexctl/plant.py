@@ -94,11 +94,6 @@ def energy_weights(p: MotorParams) -> np.ndarray:
     return np.array([p.L, p.J, p.K_L])
 
 
-def energy_matrix(p: MotorParams) -> np.ndarray:
-    """Diagonal weight of the stored energy: D = diag(L, J, K_L)."""
-    return np.diag(energy_weights(p))
-
-
 def energy(x: PlantState, p: MotorParams) -> float:
     """Stored (kinetic + potential) energy E = 0.5 x^T D x, in joules."""
     xv = x.as_array()
@@ -114,13 +109,6 @@ def energy_rate(x: PlantState, u: float, h: float, p: MotorParams,
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h}")
-    A, _ = continuous_matrices(p)
-    return energy_rate_psi(x, u, phi(A * h, options), p)
-
-
-def energy_rate_psi(x: PlantState, u: float, psi: np.ndarray, p: MotorParams) -> float:
-    """E' = x^T D Psi (A x + B u) for a series value Psi = phi(A h) already at hand,
-    such as ``DiscreteModel.psi``; equal to ``energy_rate`` at the same h."""
     A, B = continuous_matrices(p)
     xv = x.as_array()
-    return float(xv * energy_weights(p) @ psi @ (A @ xv + B * u))
+    return float(xv * energy_weights(p) @ phi(A * h, options) @ (A @ xv + B * u))

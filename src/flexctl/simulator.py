@@ -1,5 +1,6 @@
-"""Closed-loop simulation: rediscretization on each period change, gain
-retune, control, exact ZOH state update, and full diagnostic logging.
+"""Closed-loop simulation: the period schedule drawn and discretized up
+front, then per step the gain retune, control, exact ZOH state update, and
+full diagnostic logging.
 
 The discrete update x[k+1] = F x[k] + G u[k] is the exact zero-order-hold
 solution, so no ODE solver is involved in a run. ``rk4_crosscheck`` is a
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import GainSet, GuardSet, control_input, standard_psi
-from .discretizer import discretize
+from .discretizer import discretize_periods
 from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy
 from .scheduler import Scheduler, ScheduleSpec
 from .stability import check_conditions
@@ -82,22 +83,34 @@ class TraceRecord:
 def run(cfg: SimConfig) -> list[TraceRecord]:
     """Simulate until the clock reaches cfg.duration; returns the full trace.
 
-    Input threading is strictly sequential: u_prev feeds the gain retune of
-    the next step and starts at 0 V. phi(A h_s) is evaluated once per run,
-    and the plant is discretized again only when the period changes.
+    The period sequence does not depend on the state, so it is drawn in
+    full first, with the clock accumulating h as the steps will. Each
+    distinct period, plus h_s for phi(A h_s) when h_s is not below the
+    floor eps_h, is then discretized once, all in one stacked series
+    evaluation, before the first step. Input threading is strictly
+    sequential: u_prev feeds the gain retune of the next step and starts
+    at 0 V.
     """
     sched = Scheduler(cfg.schedule)
-    psi_s = standard_psi(cfg.gains, cfg.params)
-    model = None
+    periods = []
+    t = 0.0
+    while t < cfg.duration:
+        h = sched.next_period()
+        periods.append(h)
+        t += h
+    distinct = list(dict.fromkeys(periods))
+    # h_s rides in the stack for psi_s unless discretizing it would raise
+    standard = [cfg.gains.h_s] if cfg.gains.h_s >= cfg.guards.eps_h else []
+    built = discretize_periods(cfg.params, distinct + standard, eps_h=cfg.guards.eps_h)
+    models = dict(zip(distinct, built))
+    psi_s = built[-1].psi if standard else standard_psi(cfg.gains, cfg.params)
+
     state = cfg.initial
     u_prev = 0.0
     t = 0.0
-    k = 0
     records: list[TraceRecord] = []
-    while t < cfg.duration:
-        h = sched.next_period()
-        if model is None or h != model.h:
-            model = discretize(cfg.params, h, eps_h=cfg.guards.eps_h)
+    for k, h in enumerate(periods):
+        model = models[h]
         out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, cfg.params, u_prev,
                             psi_s=psi_s)
         sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, cfg.params)
@@ -116,7 +129,6 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
         state = PlantState.from_array(xv)
         u_prev = out.u
         t += h
-        k += 1
     return records
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import GainSet, _law_terms
-from .discretizer import DiscreteModel, discretize
+from .discretizer import DiscreteModel, discretize_periods
 from .plant import DesiredState, MotorParams, PlantState
 
 
@@ -52,12 +52,13 @@ class StabilityGrid:
 
     def write_csv(self, path) -> None:
         """One `axis1,axis2,V1_margin` row per cell, axis2 fastest, floats as repr."""
-        axis1, axis2, margins = (np.asarray(a, dtype=float).tolist() for a in
-                                 (self.axis1_values, self.axis2_values, self.margins))
+        axis1, axis2 = ([repr(v) for v in np.asarray(a, dtype=float).tolist()]
+                        for a in (self.axis1_values, self.axis2_values))
+        margins = np.asarray(self.margins, dtype=float).tolist()
         with Path(path).open("w", newline="") as f:
             f.write("axis1,axis2,V1_margin\n")
-            f.writelines("%r,%r,%r\n" % (a1, a2, m)
-                         for a1, row in zip(axis1, margins) for a2, m in zip(axis2, row))
+            for a1, row in zip(axis1, margins):
+                f.writelines("%s,%s,%r\n" % (a1, a2, m) for a2, m in zip(axis2, row))
 
 
 def lyapunov(x: PlantState, d: DesiredState, E: float, gains: GainSet, k_E_used: float) -> float:
@@ -119,9 +120,10 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
                   desired: DesiredState | None = None) -> StabilityGrid:
     """V1 margin over an (h, |omega|) grid at constant current and angle.
 
-    Each h row is one discretization and one array expression over all the
-    omega values, in the operation order of `v1_margin`, so every cell has
-    the bits of the per-cell call.
+    All h rows are discretized in one stacked series evaluation; each row
+    is then one array expression over all the omega values, in the
+    operation order of `v1_margin`, so every cell has the bits of the
+    per-cell call.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
@@ -140,8 +142,7 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     rate_P = gains.k_P * (theta - d.theta_d) * omega_values
     err_D = omega_values - d.omega_d
     margins = np.empty((h_values.size, omega_values.size))
-    for i, h in enumerate(h_values.tolist()):
-        model = discretize(p, h)
+    for i, model in enumerate(discretize_periods(p, h_values.tolist())):
         fmx = np.matmul(X, model.F[1][:, None])[:, 0, 0]
         margins[i] = rate_P - gains.k_D / model.h * err_D * (-fmx - omega_values)
     return StabilityGrid(

@@ -5,7 +5,7 @@ from flexctl.controller import ControlOutput, GainSet, GuardSet, control_input
 from flexctl.discretizer import SamplingTooSmallError, discretize, rotational_row
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
-                           energy, energy_matrix, energy_rate)
+                           energy, energy_rate, energy_weights)
 from flexctl.stability import v_prime
 
 P = MotorParams()
@@ -104,7 +104,7 @@ def test_denominator_floor_holds_previous_input():
     h = 0.11
     model = discretize(P, h)
     A, B = continuous_matrices(P)
-    v = energy_matrix(P) @ phi(A * h) @ B
+    v = np.diag(energy_weights(P)) @ phi(A * h) @ B
     x = PlantState(v[1], -v[0], 0.0)  # x . (D phi B) = 0 exactly
     out = control_input(x, DES, model, GAINS, GUARDS, P, u_prev=7.5)
     assert out.guard_event == "denominator_floor"
@@ -120,7 +120,7 @@ def test_gain_fallback_event_surfaces():
     model = discretize(P, h)
     A, B = continuous_matrices(P)
     xv = X0.as_array()
-    w = xv @ energy_matrix(P) @ phi(A * h)
+    w = xv @ np.diag(energy_weights(P)) @ phi(A * h)
     hold = -float(w @ (A @ xv)) / float(w @ B)  # makes E'(h_k) vanish
     out = control_input(X0, DES, model, GAINS, GUARDS, P, u_prev=hold)
     assert out.guard_event == "gain_fallback"

@@ -15,6 +15,7 @@ from flexctl.matseries import SeriesConvergenceError, SeriesOptions, expm_via_ph
 from flexctl.plant import MotorParams, continuous_matrices
 
 N_RANDOM = 50
+A_REF, _ = continuous_matrices(MotorParams())
 
 
 def phi_oracle(M):
@@ -224,3 +225,79 @@ def test_input_validation():
         phi(np.ones((2, 3)))
     with pytest.raises(ValueError):
         phi(np.array([[np.inf]]))
+
+
+@st.composite
+def mixed_stacks(draw, max_k=6, max_n=4):
+    """Stacks of one matrix size whose members have max-norms on both sides
+    of the 0.5 series limit (so each gets its own scaling), with some
+    members made singular by a zero column. Entries stay within 150, so the
+    spectral radius of a member of size <= 4 stays below 600 and e^M finite."""
+    n = draw(st.integers(1, max_n))
+    members = []
+    for _ in range(draw(st.integers(1, max_k))):
+        scale = draw(st.sampled_from([0.05, 0.45, 3.0, 40.0, 150.0]))
+        M = scale * draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+        if draw(st.booleans()):
+            M[:, 0] = 0.0
+        members.append(M)
+    return np.stack(members)
+
+
+MIXED_STACK = np.stack([np.diag([0.3, -0.1, 0.0]),               # no scaling
+                        A_REF * 0.05, A_REF * 0.2,                 # s = 8 and s = 10
+                        np.diag([3.0, 2.0, 0.0]),                  # singular, doubled
+                        np.zeros((3, 3))])
+
+
+@settings(deadline=None)
+@given(mixed_stacks())
+@example(MIXED_STACK)
+@example(MIXED_STACK[1:2])
+def test_stacked_phi_slices_equal_single_calls(S):
+    got = phi(S)
+    assert got.shape == S.shape
+    for i, M in enumerate(S):
+        assert np.array_equal(got[i], phi(M))
+
+
+@settings(deadline=None)
+@given(mixed_stacks())
+@example(MIXED_STACK)
+def test_stacked_expm_via_phi_slices_equal_single_calls(S):
+    got = expm_via_phi(S)
+    assert got.shape == S.shape
+    for i, M in enumerate(S):
+        assert np.array_equal(got[i], expm_via_phi(M))
+
+
+def test_stacked_input_validation():
+    good = np.stack([0.1 * np.eye(3), np.eye(3)])
+    for shape in ((2, 2, 3), (0, 3, 3), (2, 2, 3, 3), (3,)):
+        with pytest.raises(ValueError):
+            phi(np.ones(shape))
+    bad = good.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError):
+        phi(bad)
+    with pytest.raises(ValueError):
+        expm_via_phi(bad)
+
+
+def test_one_overflowing_member_raises():
+    with pytest.raises(OverflowError):
+        phi(np.array([[[1.0]], [[2000.0]], [[-3.0]]]))
+
+
+def test_unscalable_norm_raises():
+    # phi(-5e307) is representable, but the scaling 2^1024 it needs is not
+    for M in (np.array([[-5e307]]), np.array([[[-1.0]], [[-5e307]]])):
+        with pytest.raises(OverflowError):
+            phi(M)
+    assert phi(np.array([[-2e307]]))[0, 0] == pytest.approx(5e-308, rel=1e-12)
+
+
+def test_stack_non_convergence_raises():
+    # the zero member converges at once; the other does not within 3 terms
+    with pytest.raises(SeriesConvergenceError):
+        phi(np.stack([np.zeros((3, 3)), 0.4 * np.eye(3)]), SeriesOptions(tol=1e-12, max_terms=3))

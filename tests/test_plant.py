@@ -3,7 +3,7 @@ import pytest
 
 from flexctl.discretizer import discretize
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
-                           energy, energy_matrix, energy_rate)
+                           energy, energy_rate, energy_weights)
 
 REFERENCE_A_CORRECTED = np.array([
     [-1300.0, -500.0, 0.0],
@@ -44,20 +44,10 @@ def test_params_validation():
         MotorParams(fidelity="wrong")
 
 
-def test_energy_matrix():
-    np.testing.assert_array_equal(energy_matrix(MotorParams()), np.diag([0.001, 0.004, 0.4]))
+def test_energy_weights():
+    np.testing.assert_array_equal(energy_weights(MotorParams()), [0.001, 0.004, 0.4])
     ones = MotorParams(R=1, L=1, K_b=1, K_m=1, J=1, B_f=1, K_L=1)
-    np.testing.assert_array_equal(energy_matrix(ones), np.eye(3))
-
-
-def test_energy_matrix_positive_definite():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        p = MotorParams(R=1, L=rng.uniform(0.1, 5), K_b=1, K_m=1,
-                        J=rng.uniform(0.1, 5), B_f=1, K_L=rng.uniform(0.1, 5))
-        D = energy_matrix(p)
-        np.testing.assert_array_equal(D, D.T)
-        assert np.all(np.linalg.eigvalsh(D) > 0)
+    np.testing.assert_array_equal(energy_weights(ones), np.ones(3))
 
 
 def test_energy_values():
@@ -85,7 +75,7 @@ def test_energy_rate_zero_state():
 def test_energy_rate_residual_identity():
     # E'*h - (E_next - E) must equal -0.5 * dx^T D dx for the discrete step
     p = MotorParams()
-    D = energy_matrix(p)
+    D = np.diag(energy_weights(p))
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.uniform(-5, 5, size=3)
@@ -104,7 +94,7 @@ def test_energy_rate_small_h_limit():
     p = MotorParams()
     A, B = continuous_matrices(p)
     x = PlantState(0.4, 5.0, 0.1)
-    cont = float(x.as_array() @ energy_matrix(p) @ (A @ x.as_array()))
+    cont = float(x.as_array() @ np.diag(energy_weights(p)) @ (A @ x.as_array()))
     d1 = abs(energy_rate(x, 0.0, 1e-6, p) - cont)
     d2 = abs(energy_rate(x, 0.0, 1e-7, p) - cont)
     assert d1 / abs(cont) < 5e-3

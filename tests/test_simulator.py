@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flexctl import simulator
-from flexctl.controller import control_input
-from flexctl.discretizer import discretize
+from flexctl import controller, discretizer, simulator
+from flexctl.controller import GainSet, GuardSet, control_input
+from flexctl.discretizer import SamplingTooSmallError, discretize, discretize_periods
+from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
-                           energy_rate, energy_rate_psi)
+                           energy_rate, energy_weights)
 from flexctl.scheduler import Scheduler, ScheduleSpec
 from flexctl.simulator import (DivergenceError, SimConfig, TraceRecord, compare_gain_modes,
                                read_trace_csv, rk4_crosscheck, run, schedule_hash,
@@ -251,7 +252,9 @@ def replay(cfg):
     while t < cfg.duration:
         h = sched.next_period()
         model = discretize(p, h, eps_h=cfg.guards.eps_h)
-        assert energy_rate(state, u_prev, h, p) == energy_rate_psi(state, u_prev, model.psi, p)
+        xv = state.as_array()
+        assert energy_rate(state, u_prev, model.h, p) == float(
+            xv * energy_weights(p) @ model.psi @ (model.A @ xv + model.B * u_prev))
         out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, p, u_prev)
         sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, p)
         records.append(TraceRecord(
@@ -274,16 +277,53 @@ def test_run_equals_step_by_step_replay(mode):
     assert replay(cfg) == trace
 
 
-def test_run_discretizes_once_per_period_change(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("mode", ["random_hold", "per_step"])
+def test_run_discretizes_each_distinct_period_once(monkeypatch, mode):
+    requested, stacks = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return discretize(*args, **kwargs)
+    def counting_periods(p, periods, **kwargs):
+        requested.append(list(periods))
+        return discretize_periods(p, periods, **kwargs)
 
-    monkeypatch.setattr(simulator, "discretize", counting)
-    trace = run(nominal_config(seed=2))
-    periods = [r.h_k for r in trace]
-    changes = [h for i, h in enumerate(periods) if i == 0 or h != periods[i - 1]]
-    assert len(changes) < len(trace)  # the schedule does hold periods
-    assert calls == changes
+    def counting_phi(M, options=None):
+        stacks.append(np.shape(M))
+        return phi(M, options)
+
+    monkeypatch.setattr(simulator, "discretize_periods", counting_periods)
+    monkeypatch.setattr(discretizer, "phi", counting_phi)
+    monkeypatch.setattr(controller, "phi", counting_phi)
+    cfg = SimConfig(schedule=ScheduleSpec(seed=2, mode=mode))
+    trace = run(cfg)
+    distinct = list(dict.fromkeys(r.h_k for r in trace))
+    if mode == "random_hold":
+        assert len(distinct) < len(trace)  # the schedule does hold periods
+    # one request, each distinct period once plus h_s for psi_s, one stacked phi
+    assert requested == [distinct + [cfg.gains.h_s]]
+    assert stacks == [(len(distinct) + 1, 3, 3)]
+
+
+def test_run_with_standard_period_below_the_floor_matches_replay():
+    # h_s < eps_h cannot ride in the stack, so psi_s is built on its own
+    cfg = SimConfig(gains=GainSet(h_s=0.05), guards=GuardSet(eps_h=0.06),
+                    schedule=ScheduleSpec(seed=5, h_min=0.07, h_max=0.2), duration=3.0)
+    trace = run(cfg)
+    assert len(trace) > 10
+    assert replay(cfg) == trace
+
+
+def test_run_rejects_a_period_below_the_guard_floor():
+    cfg = SimConfig(guards=GuardSet(eps_h=0.06),
+                    schedule=ScheduleSpec(h_min=0.05, h_max=0.2, mode="fixed"))
+    with pytest.raises(SamplingTooSmallError):
+        run(cfg)
+
+
+def test_divergence_carries_the_partial_trace():
+    cfg = SimConfig(params=MotorParams(fidelity="paper_literal"),
+                    schedule=ScheduleSpec(seed=1), duration=30.0)
+    with pytest.raises(DivergenceError) as excinfo:
+        run(cfg)
+    partial = excinfo.value.trace
+    end = partial[-1].t + partial[-1].h_k
+    assert end < cfg.duration
+    assert replay(replace(cfg, duration=end)) == partial

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from flexctl.controller import GainSet, GuardSet, control_input
 from flexctl.discretizer import discretize
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
-                           energy, energy_matrix)
+                           energy, energy_weights)
 from flexctl.scheduler import ScheduleSpec
 from flexctl.simulator import SimConfig, run
 from flexctl.stability import check_conditions, lyapunov, stability_map, v_prime, v1_margin
@@ -21,7 +21,7 @@ DES = DesiredState()
 def v_prime_oracle(x, d, u, h, gains, k_E, p):
     """Independent recomposition of the Lyapunov rate from scipy's exponential."""
     A, B = continuous_matrices(p)
-    D = energy_matrix(p)
+    D = np.diag(energy_weights(p))
     F = expm(A * h)
     ph = np.linalg.solve(A * h, F - np.eye(3))
     xv = x.as_array()
