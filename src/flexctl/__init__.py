@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .controller import ControlOutput, GainSet, GuardSet, control_input, standard_psi
-from .discretizer import (DiscreteModel, SamplingTooSmallError, discretize, discretize_periods,
-                          rotational_row)
+from .controller import ControlOutput, GainSet, GuardSet, SamplingTooSmallError, control_input
+from .discretizer import DiscreteModel, discretize, discretize_periods, rotational_row
 from .matseries import SeriesConvergenceError, SeriesOptions, expm_via_phi, phi
 from .plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
                     energy_rate, energy_weights)
@@ -13,8 +12,8 @@ from .simulator import DivergenceError, SimConfig, TraceRecord, compare_gain_mod
 from .stability import LyapunovSample, StabilityGrid, check_conditions, lyapunov, stability_map, v_prime
 
 __all__ = [
-    "ControlOutput", "GainSet", "GuardSet", "control_input", "standard_psi",
-    "DiscreteModel", "SamplingTooSmallError", "discretize", "discretize_periods", "rotational_row",
+    "ControlOutput", "GainSet", "GuardSet", "SamplingTooSmallError", "control_input",
+    "DiscreteModel", "discretize", "discretize_periods", "rotational_row",
     "SeriesConvergenceError", "SeriesOptions", "expm_via_phi", "phi",
     "DesiredState", "MotorParams", "PlantState", "continuous_matrices",
     "energy", "energy_rate", "energy_weights",

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controller import GainSet, GuardSet
-from .discretizer import SamplingTooSmallError
+from .controller import GainSet, GuardSet, SamplingTooSmallError
 from .matseries import SeriesOptions
 from .plant import DesiredState, MotorParams, PlantState
 from .scheduler import ScheduleSpec
@@ -50,11 +49,11 @@ class ConfigError(ValueError):
 
 
 def _known_keys() -> dict[str, type]:
+    types = {"float": float, "int": int, "str": str}
     keys: dict[str, type] = {"duration": float}
     for section, cls in _SECTIONS.items():
         for f in fields(cls):
-            kind = {"float": float, "int": int, "str": str}.get(f.type, f.type)
-            keys[f"{section}.{f.name}"] = kind
+            keys[f"{section}.{f.name}"] = types[f.type]
     return keys
 
 

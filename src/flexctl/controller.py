@@ -13,14 +13,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretizer import DEFAULT_EPS_H, DiscreteModel, SamplingTooSmallError
+from .discretizer import DiscreteModel
 from .matseries import phi
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy_weights
+from .plant import DesiredState, MotorParams, PlantState, energy_weights
 
 GAIN_MODES = ("dynamic", "constant")
 
-# guard_event values, in precedence order when several could apply
-GUARD_EVENTS = ("none", "energy_floor", "denominator_floor", "gain_fallback")
+# smallest sampling period the controller accepts (the h -> 0 singularity floor)
+DEFAULT_EPS_H = 1e-4
+
+
+class SamplingTooSmallError(ValueError):
+    """Raised when a period is below the sampling floor eps_h."""
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,6 @@ class ControlOutput:
     guard_event: str
 
 
-def standard_psi(gains: GainSet, p: MotorParams) -> np.ndarray:
-    """Psi_s = phi(A h_s), the series value behind E'(h_s); fixed for a run."""
-    A, _ = continuous_matrices(p)
-    return phi(A * gains.h_s)
-
-
 class _LawTerms(NamedTuple):
     """The pieces of the discrete Lyapunov rate V' at one (state, model) pair,
     each formed once per step from the matrices the model carries."""
@@ -110,8 +108,8 @@ def _law_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: Gain
 
 
 def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
-                     psi_s: np.ndarray | None, gains: GainSet, guards: GuardSet,
-                     p: MotorParams) -> tuple[float, bool]:
+                     psi_s: np.ndarray | None, gains: GainSet,
+                     guards: GuardSet) -> tuple[float, bool]:
     """Per-period energy gain k_E(h_k) = k_E_s * E'(h_s)/E'(h_k) + K_c, plus a
     flag for the |E'(h_k)| floor fallback.
 
@@ -128,7 +126,7 @@ def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
     if abs(e_rate_k) < guards.eps_Eprime:
         return gains.k_E_s, True
     if psi_s is None:
-        psi_s = standard_psi(gains, p)
+        psi_s = phi(model.A * gains.h_s)
     e_rate_s = float(terms.xd @ psi_s @ v)
     raw = gains.k_E_s * e_rate_s / e_rate_k + gains.K_c
     return float(min(max(raw, gains.K_c), guards.k_E_max)), False
@@ -140,9 +138,9 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
     """Control voltage for the current sample, always within +-u_sat.
 
     Every term at h_k uses the model's Psi, A and B; ``psi_s`` is
-    ``standard_psi(gains, p)`` for a caller that holds it across steps, and
-    is built on demand otherwise. ``k_E_used`` is the retuned gain (k_E_s in
-    constant mode).
+    phi(A h_s) for a caller that holds it across steps, and is built on
+    demand otherwise. ``k_E_used`` is the retuned gain (k_E_s in constant
+    mode). A period below ``guards.eps_h`` raises SamplingTooSmallError.
 
     Guard events (one is reported, in this precedence):
       energy_floor      E_k <= eps_c, system is essentially at rest -> u = 0
@@ -154,7 +152,7 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
         raise SamplingTooSmallError(f"h = {h_k} is below the sampling floor eps_h = {guards.eps_h}")
 
     terms = _law_terms(x, d, model, gains, p)
-    k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains, guards, p)
+    k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains, guards)
     if terms.E <= guards.eps_c:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")
 

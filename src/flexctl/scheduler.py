@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import DEFAULT_EPS_H
+from .controller import DEFAULT_EPS_H
 
 MODES = ("random_hold", "per_step", "fixed")
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, GuardSet, control_input, standard_psi
+from .controller import GainSet, GuardSet, control_input
 from .discretizer import discretize_periods
 from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy
 from .scheduler import Scheduler, ScheduleSpec
@@ -85,11 +85,11 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
 
     The period sequence does not depend on the state, so it is drawn in
     full first, with the clock accumulating h as the steps will. Each
-    distinct period, plus h_s for phi(A h_s) when h_s is not below the
-    floor eps_h, is then discretized once, all in one stacked series
-    evaluation, before the first step. Input threading is strictly
-    sequential: u_prev feeds the gain retune of the next step and starts
-    at 0 V.
+    distinct period, plus h_s for phi(A h_s), is then discretized once,
+    all in one stacked series evaluation, before the first step. A period
+    below the floor guards.eps_h raises SamplingTooSmallError at its step.
+    Input threading is strictly sequential: u_prev feeds the gain retune
+    of the next step and starts at 0 V.
     """
     sched = Scheduler(cfg.schedule)
     periods = []
@@ -99,11 +99,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
         periods.append(h)
         t += h
     distinct = list(dict.fromkeys(periods))
-    # h_s rides in the stack for psi_s unless discretizing it would raise
-    standard = [cfg.gains.h_s] if cfg.gains.h_s >= cfg.guards.eps_h else []
-    built = discretize_periods(cfg.params, distinct + standard, eps_h=cfg.guards.eps_h)
+    built = discretize_periods(cfg.params, distinct + [cfg.gains.h_s])
     models = dict(zip(distinct, built))
-    psi_s = built[-1].psi if standard else standard_psi(cfg.gains, cfg.params)
+    psi_s = built[-1].psi
 
     state = cfg.initial
     u_prev = 0.0
@@ -191,26 +189,14 @@ def write_trace_csv(trace: list[TraceRecord], path) -> None:
 
 def read_trace_csv(path) -> list[TraceRecord]:
     """Inverse of write_trace_csv."""
-    converters = {f.name: f.type for f in fields(TraceRecord)}
-    records = []
+    parsers = {"int": int, "float": float, "bool": lambda raw: raw == "1", "str": str}
+    converters = {f.name: parsers[f.type] for f in fields(TraceRecord)}
     with Path(path).open(newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {reader.fieldnames}")
-        for row in reader:
-            kwargs = {}
-            for name, kind in converters.items():
-                raw = row[name]
-                if kind in ("bool", bool):
-                    kwargs[name] = raw == "1"
-                elif kind in ("int", int):
-                    kwargs[name] = int(raw)
-                elif kind in ("float", float):
-                    kwargs[name] = float(raw)
-                else:
-                    kwargs[name] = raw
-            records.append(TraceRecord(**kwargs))
-    return records
+        return [TraceRecord(**{name: conv(row[name]) for name, conv in converters.items()})
+                for row in reader]
 
 
 def rk4_crosscheck(cfg: SimConfig, trace: list[TraceRecord], t_end: float | None = None,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, _law_terms
+from .controller import DEFAULT_EPS_H, GainSet, SamplingTooSmallError, _law_terms
 from .discretizer import DiscreteModel, discretize_periods
 from .plant import DesiredState, MotorParams, PlantState
 
@@ -80,17 +80,18 @@ def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
     return terms.rate(k_E_used, terms.ax + model.B * u)
 
 
-def _v1_margin(x: PlantState, d: DesiredState, h: float, gains: GainSet, fmx: float) -> float:
-    """V1 left-hand side from F_m x already formed; F*_m x = -F_m x."""
-    return (gains.k_P * (x.theta - d.theta_d) * x.omega
-            - gains.k_D / h * (x.omega - d.omega_d) * (-fmx - x.omega))
+def _v1_margin(theta, omega, d: DesiredState, h: float, gains: GainSet, fmx):
+    """V1 left-hand side from F_m x already formed; F*_m x = -F_m x.
+    omega and fmx are scalars or equal-shape arrays (one grid row)."""
+    return (gains.k_P * (theta - d.theta_d) * omega
+            - gains.k_D / h * (omega - d.omega_d) * (-fmx - omega))
 
 
 def v1_margin(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet) -> float:
     """Left-hand side of V1 (<= 0 required):
     k_P (theta - theta_d) omega - (k_D/h)(omega - omega_d)(F*_m x - omega).
     """
-    return _v1_margin(x, d, model.h, gains, float(model.F[1] @ x.as_array()))
+    return _v1_margin(x.theta, x.omega, d, model.h, gains, float(model.F[1] @ x.as_array()))
 
 
 def check_conditions(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
@@ -99,7 +100,7 @@ def check_conditions(x: PlantState, d: DesiredState, u: float, model: DiscreteMo
     terms = _law_terms(x, d, model, gains, p)
     closed = terms.ax + model.B * u   # B u + A x
     Vp = terms.rate(k_E_used, closed)
-    v1 = _v1_margin(x, d, model.h, gains, terms.fmx)
+    v1 = _v1_margin(x.theta, x.omega, d, model.h, gains, terms.fmx)
     low = gains.k_D * (x.omega - d.omega_d) * (terms.fmx - x.omega)
 
     return LyapunovSample(
@@ -120,10 +121,10 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
                   desired: DesiredState | None = None) -> StabilityGrid:
     """V1 margin over an (h, |omega|) grid at constant current and angle.
 
-    All h rows are discretized in one stacked series evaluation; each row
-    is then one array expression over all the omega values, in the
-    operation order of `v1_margin`, so every cell has the bits of the
-    per-cell call.
+    Every h must be at least the controller's default floor eps_h. All h
+    rows are discretized in one stacked series evaluation; each row is then
+    one `_v1_margin` over all the omega values, so every cell has the bits
+    of the per-cell `v1_margin` call.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
@@ -132,6 +133,10 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     if not (np.isfinite(omega_values).all() and np.isfinite(current_I) and np.isfinite(theta)):
         raise ValueError("state entries must be finite")
     d = desired if desired is not None else DesiredState()
+    periods = h_values.tolist()
+    for h in periods:
+        if h < DEFAULT_EPS_H:
+            raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {DEFAULT_EPS_H}")
 
     # the states as a stack of 1x3 rows: matmul with the 3x1 column F_m then
     # rounds each F_m x as the 3-element product of the per-cell call does
@@ -139,12 +144,10 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     X[:, 0, 0] = current_I
     X[:, 0, 1] = omega_values
     X[:, 0, 2] = theta
-    rate_P = gains.k_P * (theta - d.theta_d) * omega_values
-    err_D = omega_values - d.omega_d
     margins = np.empty((h_values.size, omega_values.size))
-    for i, model in enumerate(discretize_periods(p, h_values.tolist())):
+    for i, model in enumerate(discretize_periods(p, periods)):
         fmx = np.matmul(X, model.F[1][:, None])[:, 0, 0]
-        margins[i] = rate_P - gains.k_D / model.h * err_D * (-fmx - omega_values)
+        margins[i] = _v1_margin(theta, omega_values, d, model.h, gains, fmx)
     return StabilityGrid(
         axis1_name="h",
         axis1_values=h_values,

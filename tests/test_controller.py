@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flexctl.controller import ControlOutput, GainSet, GuardSet, control_input
-from flexctl.discretizer import SamplingTooSmallError, discretize, rotational_row
+from flexctl.controller import ControlOutput, GainSet, GuardSet, SamplingTooSmallError, control_input
+from flexctl.discretizer import discretize, rotational_row
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_rate, energy_weights)
@@ -95,7 +95,7 @@ def test_output_always_within_saturation():
 
 
 def test_sampling_floor_raises():
-    model = discretize(P, 5e-5, eps_h=1e-6)
+    model = discretize(P, 5e-5)
     with pytest.raises(SamplingTooSmallError):
         control_input(X0, DES, model, GAINS, GUARDS, P, 0.0)
 

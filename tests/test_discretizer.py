@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.discretizer import (DEFAULT_EPS_H, SamplingTooSmallError, discretize,
-                                 discretize_lti, rotational_row)
+from flexctl.discretizer import discretize, rotational_row
 from flexctl.plant import MotorParams, continuous_matrices
 
 
@@ -17,20 +14,6 @@ def augmented_oracle(A, B, h):
     aug[:n, n] = B
     big = expm(aug * h)
     return big[:n, :n], big[:n, n]
-
-
-def test_zero_dynamics():
-    m = discretize_lti(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]), 0.2)
-    np.testing.assert_array_equal(m.F, np.eye(3))
-    np.testing.assert_allclose(m.G, 0.2 * np.array([1.0, 2.0, 3.0]), rtol=1e-14)
-
-
-def test_scalar_closed_form():
-    m = discretize_lti(np.array([[-2.0]]), np.array([1.0]), 0.1)
-    assert m.F[0, 0] == pytest.approx(math.exp(-0.2), abs=1e-12)
-    assert m.G[0] == pytest.approx((1.0 - math.exp(-0.2)) / 2.0, abs=1e-12)
-    assert m.F[0, 0] == pytest.approx(0.8187308, abs=1e-7)
-    assert m.G[0] == pytest.approx(0.0906346, abs=1e-7)
 
 
 def test_reference_motor_against_augmented_oracle():
@@ -58,22 +41,12 @@ def test_small_h_expansion():
     A, _ = continuous_matrices(p)
     ratios = []
     for h in (1e-4, 5e-5, 2.5e-5):
-        m = discretize(p, h, eps_h=1e-6)
+        m = discretize(p, h)
         ratios.append(np.max(np.abs(m.F - np.eye(3) - A * h)) / h**2)
     assert max(ratios) / min(ratios) < 1.2
 
 
-def test_g_linear_in_b():
-    A, B = continuous_matrices(MotorParams())
-    base = discretize_lti(A, B, 0.11)
-    doubled = discretize_lti(A, 2.0 * B, 0.11)
-    np.testing.assert_array_equal(doubled.G, 2.0 * base.G)
-
-
 def test_rotational_row():
-    m0 = discretize_lti(np.zeros((3, 3)), np.zeros(3), 0.1)
-    np.testing.assert_array_equal(rotational_row(m0), [0.0, 1.0, 0.0])
-
     p = MotorParams()
     A, B = continuous_matrices(p)
     m = discretize(p, 0.11)
@@ -88,13 +61,6 @@ def test_rotational_row_predicts_omega():
     u = 3.0
     omega_next = (m.F @ x + m.G * u)[1]
     assert rotational_row(m) @ x == pytest.approx(omega_next - m.G[1] * u, rel=1e-12)
-
-
-def test_sampling_floor():
-    p = MotorParams()
-    with pytest.raises(SamplingTooSmallError):
-        discretize(p, 0.5 * DEFAULT_EPS_H)
-    discretize(p, 0.5 * DEFAULT_EPS_H, eps_h=1e-6)  # explicit floor admits it
 
 
 def test_model_validation():
@@ -116,8 +82,3 @@ def test_model_carries_its_own_continuous_pair():
     m = discretize(p, 0.11)
     np.testing.assert_array_equal(m.A, A)
     np.testing.assert_array_equal(m.B, B)
-    lti = discretize_lti(A, B, 0.11)
-    A[:] = 0.0
-    B[:] = 0.0
-    np.testing.assert_array_equal(lti.A, m.A)
-    np.testing.assert_array_equal(lti.B, m.B)

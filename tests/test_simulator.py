@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from flexctl import controller, discretizer, simulator
-from flexctl.controller import GainSet, GuardSet, control_input
-from flexctl.discretizer import SamplingTooSmallError, discretize, discretize_periods
+from flexctl.controller import GainSet, GuardSet, SamplingTooSmallError, control_input
+from flexctl.discretizer import discretize, discretize_periods
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
                            energy_rate, energy_weights)
@@ -251,7 +251,7 @@ def replay(cfg):
     records = []
     while t < cfg.duration:
         h = sched.next_period()
-        model = discretize(p, h, eps_h=cfg.guards.eps_h)
+        model = discretize(p, h)
         xv = state.as_array()
         assert energy_rate(state, u_prev, model.h, p) == float(
             xv * energy_weights(p) @ model.psi @ (model.A @ xv + model.B * u_prev))
@@ -277,8 +277,14 @@ def test_run_equals_step_by_step_replay(mode):
     assert replay(cfg) == trace
 
 
-@pytest.mark.parametrize("mode", ["random_hold", "per_step"])
-def test_run_discretizes_each_distinct_period_once(monkeypatch, mode):
+@pytest.mark.parametrize("cfg", [
+    SimConfig(schedule=ScheduleSpec(seed=2, mode="random_hold")),
+    SimConfig(schedule=ScheduleSpec(seed=2, mode="per_step")),
+    # a standard period below the floor eps_h rides in the stack like any other
+    SimConfig(gains=GainSet(h_s=0.05), guards=GuardSet(eps_h=0.06),
+              schedule=ScheduleSpec(seed=5, h_min=0.07, h_max=0.2), duration=3.0),
+], ids=["random_hold", "per_step", "h_s_below_floor"])
+def test_run_discretizes_each_distinct_period_once(monkeypatch, cfg):
     requested, stacks = [], []
 
     def counting_periods(p, periods, **kwargs):
@@ -292,10 +298,9 @@ def test_run_discretizes_each_distinct_period_once(monkeypatch, mode):
     monkeypatch.setattr(simulator, "discretize_periods", counting_periods)
     monkeypatch.setattr(discretizer, "phi", counting_phi)
     monkeypatch.setattr(controller, "phi", counting_phi)
-    cfg = SimConfig(schedule=ScheduleSpec(seed=2, mode=mode))
     trace = run(cfg)
     distinct = list(dict.fromkeys(r.h_k for r in trace))
-    if mode == "random_hold":
+    if cfg.schedule.mode == "random_hold":
         assert len(distinct) < len(trace)  # the schedule does hold periods
     # one request, each distinct period once plus h_s for psi_s, one stacked phi
     assert requested == [distinct + [cfg.gains.h_s]]
@@ -303,7 +308,7 @@ def test_run_discretizes_each_distinct_period_once(monkeypatch, mode):
 
 
 def test_run_with_standard_period_below_the_floor_matches_replay():
-    # h_s < eps_h cannot ride in the stack, so psi_s is built on its own
+    # psi_s from the stacked run, built on demand by the replay
     cfg = SimConfig(gains=GainSet(h_s=0.05), guards=GuardSet(eps_h=0.06),
                     schedule=ScheduleSpec(seed=5, h_min=0.07, h_max=0.2), duration=3.0)
     trace = run(cfg)

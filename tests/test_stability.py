@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.controller import GainSet, GuardSet, control_input
+from flexctl.controller import GainSet, GuardSet, SamplingTooSmallError, control_input
 from flexctl.discretizer import discretize
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_weights)
@@ -273,6 +273,5 @@ def test_stability_map_empty_axis_rejected():
 
 
 def test_stability_map_h_below_floor_rejected():
-    from flexctl.discretizer import SamplingTooSmallError
     with pytest.raises(SamplingTooSmallError):
         stability_map(P, GAINS, [1e-6], [0.0])
