@@ -162,20 +162,19 @@ def _shared_flags(sub: argparse.ArgumentParser, h_min_default=None, h_max_defaul
     sub.add_argument("--fidelity", choices=("corrected", "paper_literal"), default=None)
 
 
-def _overrides_from_args(args) -> dict[str, object]:
-    return {
+def _resolve(args, schedule_periods: bool = True) -> SimConfig:
+    """The command's SimConfig; `schedule_periods=False` leaves --h-min/--h-max
+    out of the schedule (the stability map uses them for its h axis)."""
+    overrides = {
         "schedule.seed": args.seed,
         "duration": args.duration,
-        "schedule.h_min": args.h_min,
-        "schedule.h_max": args.h_max,
         "gains.gain_mode": args.gain_mode,
         "params.fidelity": args.fidelity,
     }
-
-
-def _resolve(args) -> SimConfig:
+    if schedule_periods:
+        overrides |= {"schedule.h_min": args.h_min, "schedule.h_max": args.h_max}
     file_values = parse_config_file(args.config) if args.config else None
-    return build_sim_config(file_values, _overrides_from_args(args))
+    return build_sim_config(file_values, overrides)
 
 
 def cmd_run(args) -> int:
@@ -230,7 +229,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability_map(args) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, schedule_periods=False)
     gains = cfg.gains
     if args.kp is not None:
         gains = replace(gains, k_P=args.kp)
@@ -312,9 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse returns a fresh namespace on every parse, so one parser serves all calls
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SamplingTooSmallError, ValueError, OSError) as exc:

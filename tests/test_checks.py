@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from flexctl.checks import run_identity_checks
+from flexctl.checks import integral_oracle, run_identity_checks
 from flexctl.matseries import SeriesOptions
+from flexctl.plant import MotorParams, continuous_matrices
 
 
 def test_identity_suite_passes():
@@ -13,6 +16,35 @@ def test_identity_suite_passes():
 def test_degraded_series_tolerance_fails_the_suite():
     results = run_identity_checks(seed=0, options=SeriesOptions(tol=1e-1))
     assert not all(r.passed for r in results)
+
+
+def reference_integral(M, h):
+    """The quadrature with one single-matrix expm call per node, summed in
+    panel-then-node order; the stacked oracle must give the same bits."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    panels = max(4, int(np.ceil(np.max(np.abs(M)) * h / 2.0)))
+    edges = np.linspace(0.0, h, panels + 1)
+    half = 0.5 * (h / panels)
+    total = np.zeros_like(np.asarray(M, dtype=float))
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        for t, wgt in zip(nodes, weights):
+            total += wgt * expm(M * (mid + half * t))
+    return total * half
+
+
+def oracle_cases():
+    rng = np.random.default_rng(20)
+    cases = [(rng.uniform(-5.0, 5.0, size=(3, 3)), float(rng.uniform(0.01, 0.5)))
+             for _ in range(30)]
+    A, _ = continuous_matrices(MotorParams())
+    cases += [(A * s, 1.0) for s in (0.05, 0.11, 0.2)]  # 33, 72 and 130 panels
+    return cases + [(np.zeros((3, 3)), 0.3)]
+
+
+@pytest.mark.parametrize("M, h", oracle_cases())
+def test_integral_oracle_matches_per_node_reference_bitwise(M, h):
+    assert np.array_equal(integral_oracle(M, h), reference_integral(M, h))
 
 
 # derived seeds (benchmark seed, index) where the earlier phi, which rebuilt

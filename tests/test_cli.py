@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from flexctl import cli
 from flexctl.simulator import TRACE_COLUMNS, read_trace_csv
 
 
@@ -135,6 +136,41 @@ def test_stability_map_non_finite_bound_is_usage_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr == "error: axis bounds must be finite\n"
     assert not (tmp_path / "map.csv").exists()
+
+
+def test_stability_map_h_below_floor_is_the_maps_error(tmp_path):
+    res = flexctl(["stability-map", "--out", "map.csv", "--h-min", "1e-5"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == "error: h = 1e-05 is below the sampling floor eps_h = 0.0001\n"
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_stability_map_reversed_h_axis_is_usage_error(tmp_path):
+    res = flexctl(["stability-map", "--out", "map.csv", "--h-min", "0.3", "--h-max", "0.2"],
+                  tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == "error: axis bounds must satisfy min <= max\n"
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_stability_map_manifest_keeps_the_schedule(tmp_path):
+    res = flexctl(["stability-map", "--out", "map.csv", "--h-min", "0.02", "--h-max", "0.25",
+                   "--n-h", "3", "--n-omega", "2"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((tmp_path / "map.manifest.json").read_text())
+    assert (manifest["grid"]["h_min"], manifest["grid"]["h_max"]) == (0.02, 0.25)
+    assert (manifest["config"]["schedule.h_min"], manifest["config"]["schedule.h_max"]) == (0.05, 0.2)
+
+
+def test_main_called_twice_in_process_keeps_no_flag_values(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FLEXCTL_SEED", raising=False)
+    assert cli.main(["run", "--gain-mode", "constant", "--duration", "1", "--out", "a.csv"]) == 0
+    assert cli.main(["run", "--duration", "1", "--out", "b.csv"]) == 0
+    first = json.loads((tmp_path / "a.manifest.json").read_text())["config"]
+    second = json.loads((tmp_path / "b.manifest.json").read_text())["config"]
+    assert first["gains.gain_mode"] == "constant"
+    assert second["gains.gain_mode"] == "dynamic"
 
 
 def test_validate_passes(tmp_path):

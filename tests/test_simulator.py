@@ -60,6 +60,32 @@ def test_energy_column_consistent_with_state():
         assert r.E == pytest.approx(energy(PlantState(r.I, r.omega, r.theta), p), abs=1e-12)
 
 
+# Roundings on the way to one ledger residual: h*E' takes 12 (A x + B u,
+# Psi times that, x^T D times that, times h), dx takes 10 (F = I + Ah Psi and
+# G = h Psi B, F x + G u, minus x), E_k and E_{k+1} take 4 each, and the
+# residual itself 3.
+LEDGER_ROUNDINGS = 12 + 10 + 4 + 4 + 3
+
+
+@pytest.mark.parametrize("gain_mode", ["dynamic", "constant"])
+def test_energy_ledger_holds_on_every_step(gain_mode):
+    # dx = h Psi (A x + B u) makes E_{k+1} - E_k = h E' + dx^T D dx / 2 exact;
+    # the bound is absolute because parked steps have dE at round-off
+    p = MotorParams()
+    d = energy_weights(p)
+    eps = np.finfo(float).eps
+    for seed in range(1, 11):
+        trace = run(nominal_config(seed=seed, gains=GainSet(gain_mode=gain_mode)))
+        for r, nxt in zip(trace[:-1], trace[1:]):
+            x = PlantState(r.I, r.omega, r.theta)
+            dx = np.array([nxt.I, nxt.omega, nxt.theta]) - x.as_array()
+            h_rate = r.h_k * energy_rate(x, r.u, r.h_k, p)
+            quad = 0.5 * float(dx * d @ dx)
+            residual = (nxt.E - r.E) - (h_rate + quad)
+            scale = abs(r.E) + abs(nxt.E) + abs(h_rate) + quad
+            assert abs(residual) <= LEDGER_ROUNDINGS * eps * scale, (seed, r.k, residual, scale)
+
+
 def test_fixed_standard_period_gain_identity():
     cfg = SimConfig(schedule=ScheduleSpec(h_min=0.11, h_max=0.11, mode="fixed", seed=0))
     trace = run(cfg)
