@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controller import GainSet, GuardSet, SamplingTooSmallError
+from .controller import GAIN_MODES, GainSet, GuardSet, SamplingTooSmallError
 from .matseries import SeriesOptions
 from .plant import DesiredState, MotorParams, PlantState
 from .scheduler import ScheduleSpec
-from .simulator import (DivergenceError, SimConfig, compare_gain_modes, run,
-                        schedule_hash, write_trace_csv)
+from .simulator import (DivergenceError, SimConfig, pair_gain_modes, run, with_gain_mode,
+                        write_trace_csv)
 from .stability import stability_map
 from .checks import run_identity_checks
 
@@ -195,24 +195,35 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Both gain modes per seed. A diverging run stops the sweep: its partial
+    trace is written to that mode's CSV and the manifest lists the outputs
+    written so far (no summary)."""
     cfg = _resolve(args)
     seeds = _parse_seeds(args.seeds) if args.seeds else [cfg.schedule.seed]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    manifest_path = outdir / "compare.manifest.json"
 
     outputs: list[str] = []
     rows = []
     for seed in seeds:
         seeded = replace(cfg, schedule=replace(cfg.schedule, seed=seed))
-        result = compare_gain_modes(seeded)
-        if len(seeds) == 1:
-            dyn_path, con_path = outdir / "dynamic.csv", outdir / "constant.csv"
-        else:
-            dyn_path, con_path = outdir / f"dynamic_s{seed}.csv", outdir / f"constant_s{seed}.csv"
-        write_trace_csv(result.dynamic, dyn_path)
-        write_trace_csv(result.constant, con_path)
-        outputs += [str(dyn_path), str(con_path)]
-        s = result.summary
+        traces = []
+        for mode in GAIN_MODES:
+            path = outdir / (f"{mode}.csv" if len(seeds) == 1 else f"{mode}_s{seed}.csv")
+            try:
+                trace = run(with_gain_mode(seeded, mode))
+            except DivergenceError as exc:
+                print(f"divergence: seed {seed}, {mode} gain: {exc}", file=sys.stderr)
+                write_trace_csv(exc.trace, path)
+                outputs.append(str(path))
+                write_manifest(manifest_path, "compare", config_snapshot(cfg),
+                               seeds=seeds, outputs=outputs)
+                return EXIT_DIVERGENCE
+            write_trace_csv(trace, path)
+            outputs.append(str(path))
+            traces.append(trace)
+        s = pair_gain_modes(seeded, *traces).summary
         rows.append((seed, s.final_theta_err_dynamic, s.final_omega_err_dynamic,
                      s.final_theta_err_constant, s.final_omega_err_constant, s.schedule_hash))
 
@@ -223,8 +234,7 @@ def cmd_compare(args) -> int:
         for seed, td, od, tc, oc, sh in rows:
             f.write(f"{seed},{td!r},{od!r},{tc!r},{oc!r},{sh}\n")
     outputs.append(str(summary_path))
-    write_manifest(outdir / "compare.manifest.json", "compare", config_snapshot(cfg),
-                   seeds=seeds, outputs=outputs)
+    write_manifest(manifest_path, "compare", config_snapshot(cfg), seeds=seeds, outputs=outputs)
     return EXIT_OK
 
 

@@ -77,6 +77,8 @@ class _LawTerms(NamedTuple):
     """The pieces of the discrete Lyapunov rate V' at one (state, model) pair,
     each formed once per step from the matrices the model carries."""
 
+    omega: float     # the state's speed and angle
+    theta: float
     xd: np.ndarray   # x^T D
     E: float         # stored energy 0.5 x^T D x
     ax: np.ndarray   # A x
@@ -91,20 +93,33 @@ class _LawTerms(NamedTuple):
         return k_E * self.E * float(self.w @ v) + self.t_D + self.t_P
 
 
-def _law_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
-               p: MotorParams) -> _LawTerms:
-    xv = x.as_array()
-    xd = xv * energy_weights(p)  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
+def _law_terms(xv: np.ndarray, omega: float, theta: float, d: DesiredState,
+               model: DiscreteModel, gains: GainSet, weights: np.ndarray) -> _LawTerms:
+    """The terms at the state vector xv, whose speed and angle are the floats
+    omega and theta; weights is energy_weights(p)."""
+    xd = xv * weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
     fmx = float(model.F[1] @ xv)
     return _LawTerms(
+        omega=omega,
+        theta=theta,
         xd=xd,
         E=0.5 * float(xd @ xv),
         ax=model.A @ xv,
         w=xd @ model.psi,
         fmx=fmx,
-        t_D=gains.k_D / model.h * (x.omega - d.omega_d) * (fmx - x.omega),
-        t_P=gains.k_P * (x.theta - d.theta_d) * x.omega,
+        t_D=gains.k_D / model.h * (omega - d.omega_d) * (fmx - omega),
+        t_P=gains.k_P * (theta - d.theta_d) * omega,
     )
+
+
+def _state_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
+                 p: MotorParams) -> _LawTerms:
+    return _law_terms(x.as_array(), x.omega, x.theta, d, model, gains, energy_weights(p))
+
+
+def _check_period(h: float, eps_h: float) -> None:
+    if h < eps_h:
+        raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {eps_h}")
 
 
 def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
@@ -147,11 +162,13 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
       denominator_floor |den| < eps_den -> hold the previous input
       gain_fallback     retune ratio undefined, standard gain used instead
     """
-    h_k = model.h
-    if h_k < guards.eps_h:
-        raise SamplingTooSmallError(f"h = {h_k} is below the sampling floor eps_h = {guards.eps_h}")
+    _check_period(model.h, guards.eps_h)
+    return _control_from_terms(_state_terms(x, d, model, gains, p), model, gains, guards, u_prev, psi_s)
 
-    terms = _law_terms(x, d, model, gains, p)
+
+def _control_from_terms(terms: _LawTerms, model: DiscreteModel, gains: GainSet, guards: GuardSet,
+                        u_prev: float, psi_s: np.ndarray | None) -> ControlOutput:
+    """``control_input`` from terms already formed; the period is not checked here."""
     k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains, guards)
     if terms.E <= guards.eps_c:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")

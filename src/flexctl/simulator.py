@@ -1,6 +1,10 @@
 """Closed-loop simulation: the period schedule drawn and discretized up
-front, then per step the gain retune, control, exact ZOH state update, and
-full diagnostic logging.
+front, then per step the sampling-floor check, the terms of the Lyapunov
+rate formed once, the gain retune, control input and diagnostics taken from
+those terms, the exact ZOH state update and a divergence check on the new
+state. The public ``control_input``, ``check_conditions`` and ``energy``
+give the same bits from a ``PlantState``; the loop carries the state as a
+vector and its three components as floats instead.
 
 The discrete update x[k+1] = F x[k] + G u[k] is the exact zero-order-hold
 solution, so no ODE solver is involved in a run. ``rk4_crosscheck`` is a
@@ -22,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, GuardSet, control_input
+from .controller import GainSet, GuardSet, _check_period, _control_from_terms, _law_terms
 from .discretizer import discretize_periods
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy
+from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy_weights
 from .scheduler import Scheduler, ScheduleSpec
-from .stability import check_conditions
+from .stability import _conditions_from_terms
 
 # any state component beyond this magnitude aborts the run
 DIVERGENCE_LIMIT = 1e9
@@ -90,6 +94,10 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     below the floor guards.eps_h raises SamplingTooSmallError at its step.
     Input threading is strictly sequential: u_prev feeds the gain retune
     of the next step and starts at 0 V.
+
+    Each step forms the law terms once and takes the control input and the
+    diagnostics from them, with the bits ``control_input`` and
+    ``check_conditions`` give.
     """
     sched = Scheduler(cfg.schedule)
     periods = []
@@ -103,28 +111,34 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     models = dict(zip(distinct, built))
     psi_s = built[-1].psi
 
-    state = cfg.initial
+    d, gains, guards = cfg.desired, cfg.gains, cfg.guards
+    weights = energy_weights(cfg.params)
+    x0 = cfg.initial
+    xv = x0.as_array()
+    I, omega, theta = x0.current_I, x0.omega, x0.theta
     u_prev = 0.0
     t = 0.0
     records: list[TraceRecord] = []
     for k, h in enumerate(periods):
+        _check_period(h, guards.eps_h)
         model = models[h]
-        out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, cfg.params, u_prev,
-                            psi_s=psi_s)
-        sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, cfg.params)
+        terms = _law_terms(xv, omega, theta, d, model, gains, weights)
+        out = _control_from_terms(terms, model, gains, guards, u_prev, psi_s)
+        sample = _conditions_from_terms(terms, d, out.u, model, gains, out.k_E_used)
         records.append(TraceRecord(
-            k=k, t=t, h_k=h,
-            I=state.current_I, omega=state.omega, theta=state.theta,
-            u=out.u, E=energy(state, cfg.params), k_E=out.k_E_used,
+            k=k, t=t, h_k=h, I=I, omega=omega, theta=theta,
+            u=out.u, E=terms.E, k_E=out.k_E_used,
             V=sample.V, V_prime=sample.V_prime,
             saturated=out.saturated, guard_event=out.guard_event,
             V1_ok=sample.V1_ok, V2_ok=sample.V2_ok, cond_main=sample.condition_main,
         ))
-        xv = model.F @ state.as_array() + model.G * out.u
-        if not np.isfinite(xv).all() or np.abs(xv).max() > DIVERGENCE_LIMIT:
+        xv = model.F @ xv + model.G * out.u
+        I, omega, theta = xv.tolist()
+        # false for NaN as well as for inf or a magnitude beyond the limit
+        if not (abs(I) <= DIVERGENCE_LIMIT and abs(omega) <= DIVERGENCE_LIMIT
+                and abs(theta) <= DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t = {t + h:.6f} s", records)
-        state = PlantState.from_array(xv)
         u_prev = out.u
         t += h
     return records
@@ -151,21 +165,29 @@ class ComparisonResult:
     summary: ComparisonSummary
 
 
-def compare_gain_modes(cfg: SimConfig) -> ComparisonResult:
-    """Run dynamic and constant gain modes on the identical period sequence."""
-    cfg_dyn = replace(cfg, gains=replace(cfg.gains, gain_mode="dynamic"))
-    cfg_con = replace(cfg, gains=replace(cfg.gains, gain_mode="constant"))
-    trace_dyn = run(cfg_dyn)
-    trace_con = run(cfg_con)
+def with_gain_mode(cfg: SimConfig, gain_mode: str) -> SimConfig:
+    """cfg with only the gain mode changed, so both modes share one schedule."""
+    return replace(cfg, gains=replace(cfg.gains, gain_mode=gain_mode))
+
+
+def pair_gain_modes(cfg: SimConfig, dynamic: list[TraceRecord],
+                    constant: list[TraceRecord]) -> ComparisonResult:
+    """The comparison of a dynamic and a constant trace of cfg's schedule."""
     d = cfg.desired
     summary = ComparisonSummary(
-        final_theta_err_dynamic=abs(trace_dyn[-1].theta - d.theta_d),
-        final_omega_err_dynamic=abs(trace_dyn[-1].omega - d.omega_d),
-        final_theta_err_constant=abs(trace_con[-1].theta - d.theta_d),
-        final_omega_err_constant=abs(trace_con[-1].omega - d.omega_d),
-        schedule_hash=schedule_hash(trace_dyn),
+        final_theta_err_dynamic=abs(dynamic[-1].theta - d.theta_d),
+        final_omega_err_dynamic=abs(dynamic[-1].omega - d.omega_d),
+        final_theta_err_constant=abs(constant[-1].theta - d.theta_d),
+        final_omega_err_constant=abs(constant[-1].omega - d.omega_d),
+        schedule_hash=schedule_hash(dynamic),
     )
-    return ComparisonResult(dynamic=trace_dyn, constant=trace_con, summary=summary)
+    return ComparisonResult(dynamic=dynamic, constant=constant, summary=summary)
+
+
+def compare_gain_modes(cfg: SimConfig) -> ComparisonResult:
+    """Run dynamic and constant gain modes on the identical period sequence."""
+    return pair_gain_modes(cfg, run(with_gain_mode(cfg, "dynamic")),
+                           run(with_gain_mode(cfg, "constant")))
 
 
 # one row of the trace CSV: floats in round-trip precision (repr), k and the

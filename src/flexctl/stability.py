@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import DEFAULT_EPS_H, GainSet, SamplingTooSmallError, _law_terms
+from .controller import DEFAULT_EPS_H, GainSet, _LawTerms, _check_period, _state_terms
 from .discretizer import DiscreteModel, discretize_periods
 from .plant import DesiredState, MotorParams, PlantState
 
@@ -63,9 +63,14 @@ class StabilityGrid:
 
 def lyapunov(x: PlantState, d: DesiredState, E: float, gains: GainSet, k_E_used: float) -> float:
     """V = 0.5 k_E E^2 + 0.5 k_D (omega - omega_d)^2 + 0.5 k_P (theta - theta_d)^2."""
+    return _lyapunov(x.omega, x.theta, d, E, gains, k_E_used)
+
+
+def _lyapunov(omega: float, theta: float, d: DesiredState, E: float, gains: GainSet,
+              k_E_used: float) -> float:
     return (0.5 * k_E_used * E * E
-            + 0.5 * gains.k_D * (x.omega - d.omega_d) ** 2
-            + 0.5 * gains.k_P * (x.theta - d.theta_d) ** 2)
+            + 0.5 * gains.k_D * (omega - d.omega_d) ** 2
+            + 0.5 * gains.k_P * (theta - d.theta_d) ** 2)
 
 
 def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
@@ -76,7 +81,7 @@ def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
          + (k_D/h)(omega - omega_d)(F_m x - omega)
          + k_P (theta - theta_d) omega
     """
-    terms = _law_terms(x, d, model, gains, p)
+    terms = _state_terms(x, d, model, gains, p)
     return terms.rate(k_E_used, terms.ax + model.B * u)
 
 
@@ -97,22 +102,29 @@ def v1_margin(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainS
 def check_conditions(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
                      gains: GainSet, k_E_used: float, p: MotorParams) -> LyapunovSample:
     """Evaluate every stability diagnostic at one sample."""
-    terms = _law_terms(x, d, model, gains, p)
+    return _conditions_from_terms(_state_terms(x, d, model, gains, p), d, u, model, gains, k_E_used)
+
+
+def _conditions_from_terms(terms: _LawTerms, d: DesiredState, u: float, model: DiscreteModel,
+                           gains: GainSet, k_E_used: float) -> LyapunovSample:
+    """``check_conditions`` from terms already formed."""
+    omega, theta = terms.omega, terms.theta
     closed = terms.ax + model.B * u   # B u + A x
+    hi, lo = float(closed.max()), float(closed.min())  # NaN if any component is NaN
     Vp = terms.rate(k_E_used, closed)
-    v1 = _v1_margin(x.theta, x.omega, d, model.h, gains, terms.fmx)
-    low = gains.k_D * (x.omega - d.omega_d) * (terms.fmx - x.omega)
+    v1 = _v1_margin(theta, omega, d, model.h, gains, terms.fmx)
+    low = gains.k_D * (omega - d.omega_d) * (terms.fmx - omega)
 
     return LyapunovSample(
-        V=lyapunov(x, d, terms.E, gains, k_E_used),
+        V=_lyapunov(omega, theta, d, terms.E, gains, k_E_used),
         V_prime=Vp,
         condition_main=Vp <= 0.0,
         V1_ok=v1 <= 0.0,
-        V2_ok=bool((closed <= 0.0).all()),
+        V2_ok=hi <= 0.0,             # every component of B u + A x <= 0
         boundary_low_ok=low <= 0.0,
-        boundary_high_ok=bool((-closed <= 0.0).all()),  # -A x <= B u
+        boundary_high_ok=lo >= 0.0,  # -A x <= B u componentwise
         v1_margin=v1,
-        v2_margin=float(closed.max()),
+        v2_margin=hi,
     )
 
 
@@ -135,8 +147,7 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     d = desired if desired is not None else DesiredState()
     periods = h_values.tolist()
     for h in periods:
-        if h < DEFAULT_EPS_H:
-            raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {DEFAULT_EPS_H}")
+        _check_period(h, DEFAULT_EPS_H)
 
     # the states as a stack of 1x3 rows: matmul with the 3x1 column F_m then
     # rounds each F_m x as the 3-element product of the per-cell call does

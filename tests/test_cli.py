@@ -4,7 +4,8 @@ import subprocess
 import sys
 
 from flexctl import cli
-from flexctl.simulator import TRACE_COLUMNS, read_trace_csv
+from flexctl.scheduler import ScheduleSpec
+from flexctl.simulator import TRACE_COLUMNS, DivergenceError, SimConfig, read_trace_csv, run
 
 
 def flexctl(args, cwd, env_extra=None):
@@ -49,6 +50,42 @@ def test_run_paper_literal_divergence_exit(tmp_path):
     assert "divergence" in res.stderr
     partial = read_trace_csv(tmp_path / "div.csv")
     assert len(partial) > 10  # partial trace persisted
+
+
+def test_compare_paper_literal_divergence_exit(tmp_path):
+    res = flexctl(["compare", "--fidelity", "paper_literal", "--duration", "30", "--seed", "1",
+                   "--out", "cmp"], tmp_path)
+    assert res.returncode == 3
+    assert res.stderr.startswith("divergence: ")
+    partial = read_trace_csv(tmp_path / "cmp" / "dynamic.csv")
+    assert len(partial) > 10  # partial trace persisted
+    assert partial[-1].t + partial[-1].h_k < 30.0
+    manifest = json.loads((tmp_path / "cmp" / "compare.manifest.json").read_text())
+    assert manifest["command"] == "compare"
+    assert manifest["outputs"] == [os.path.join("cmp", "dynamic.csv")]
+    assert not (tmp_path / "cmp" / "summary.csv").exists()
+
+
+def test_compare_divergence_in_the_second_mode_keeps_the_first(tmp_path, monkeypatch):
+    def constant_diverges(cfg):
+        trace = run(cfg)
+        if cfg.gains.gain_mode == "constant":
+            raise DivergenceError("state magnitude exceeded 1e+09", trace[:5])
+        return trace
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FLEXCTL_SEED", raising=False)
+    monkeypatch.setattr(cli, "run", constant_diverges)
+    assert cli.main(["compare", "--seeds", "1,2", "--duration", "2", "--out", "cmp"]) == 3
+    manifest = json.loads((tmp_path / "cmp" / "compare.manifest.json").read_text())
+    assert manifest["seeds"] == [1, 2]
+    assert manifest["outputs"] == [os.path.join("cmp", "dynamic_s1.csv"),
+                                   os.path.join("cmp", "constant_s1.csv")]
+    assert len(read_trace_csv(tmp_path / "cmp" / "constant_s1.csv")) == 5
+    full = run(SimConfig(schedule=ScheduleSpec(seed=1), duration=2.0))
+    assert read_trace_csv(tmp_path / "cmp" / "dynamic_s1.csv") == full
+    assert sorted(f.name for f in (tmp_path / "cmp").iterdir()) == [
+        "compare.manifest.json", "constant_s1.csv", "dynamic_s1.csv"]
 
 
 def test_env_seed_default(tmp_path):

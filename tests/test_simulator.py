@@ -1,4 +1,6 @@
+import copy
 import csv
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -297,10 +299,35 @@ def replay(cfg):
 
 @pytest.mark.parametrize("mode", ["random_hold", "per_step"])
 def test_run_equals_step_by_step_replay(mode):
-    cfg = SimConfig(schedule=ScheduleSpec(seed=3, mode=mode))
-    trace = run(cfg)
-    assert len(trace) > 40
-    assert replay(cfg) == trace
+    # run forms the law terms once per step; the replay goes through the
+    # public control_input, check_conditions and energy
+    for seed in range(1, 31):
+        for gain_mode in ("dynamic", "constant"):
+            cfg = SimConfig(gains=GainSet(gain_mode=gain_mode),
+                            schedule=ScheduleSpec(seed=seed, mode=mode))
+            trace = run(cfg)
+            assert len(trace) > 40
+            assert replay(cfg) == trace, (seed, gain_mode)
+
+
+# SHA-256 of the trace CSVs below, concatenated, as written before run formed
+# the law terms once per step (numpy 2.x with its bundled OpenBLAS on x86-64).
+# A change to the per-step arithmetic that moves any bit of any trace fails
+# here; a different BLAS build may round differently.
+GOLDEN_TRACE_SHA256 = "cbe4c378224a6f1d54324acf535c5b6f7543fc1e0c4f201bf2def874528882c5"
+
+
+def test_trace_bytes_match_the_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "trace.csv"
+    for seed in range(1, 11):
+        for mode in ("random_hold", "per_step"):
+            for gain_mode in ("dynamic", "constant"):
+                cfg = SimConfig(gains=GainSet(gain_mode=gain_mode),
+                                schedule=ScheduleSpec(seed=seed, mode=mode))
+                write_trace_csv(run(cfg), path)
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256
 
 
 @pytest.mark.parametrize("cfg", [
@@ -358,3 +385,74 @@ def test_divergence_carries_the_partial_trace():
     end = partial[-1].t + partial[-1].h_k
     assert end < cfg.duration
     assert replay(replace(cfg, duration=end)) == partial
+
+
+def patch_models(monkeypatch, edit):
+    """Make run use edit(model) for every model discretize_periods builds."""
+    def edited_periods(p, periods, **kwargs):
+        return [edit(m) for m in discretize_periods(p, periods, **kwargs)]
+
+    monkeypatch.setattr(simulator, "discretize_periods", edited_periods)
+
+
+def test_overflowing_next_state_raises_with_the_partial_trace(monkeypatch):
+    # F scaled by 1e300 stays finite, but F x overflows to inf from a state at
+    # the divergence limit
+    cfg = SimConfig(initial=PlantState(1e9, 1e9, 1e9),
+                    schedule=ScheduleSpec(h_min=0.1, h_max=0.1, mode="fixed"), duration=1.0)
+    scaled = []
+
+    def scale(m):
+        scaled.append(replace(m, F=m.F * 1e300))
+        return scaled[-1]
+
+    patch_models(monkeypatch, scale)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError, match="state magnitude exceeded") as excinfo:
+            run(cfg)
+        assert np.isinf(scaled[0].F @ cfg.initial.as_array()).any()
+    partial = excinfo.value.trace
+    assert len(partial) == 1
+    assert (partial[0].I, partial[0].omega, partial[0].theta) == (1e9, 1e9, 1e9)
+
+
+def test_nan_next_state_raises_with_the_partial_trace(monkeypatch):
+    # a NaN entry in the current row of F for the second distinct period
+    # makes the next current NaN there; the omega row, and so every logged
+    # column up to that step, is untouched
+    cfg = nominal_config(seed=1)
+    clean = run(cfg)
+    h_bad = next(r.h_k for r in clean if r.h_k != clean[0].h_k)
+    k_bad = next(r.k for r in clean if r.h_k == h_bad)
+
+    def poison(m):
+        if m.h != h_bad:
+            return m
+        F = m.F.copy()
+        F[0, 0] = np.nan
+        bad = copy.copy(m)
+        object.__setattr__(bad, "F", F)  # past DiscreteModel's finiteness check
+        return bad
+
+    patch_models(monkeypatch, poison)
+    with pytest.raises(DivergenceError) as excinfo:
+        run(cfg)
+    assert k_bad > 0
+    assert excinfo.value.trace == clean[:k_bad + 1]
+
+
+def test_divergence_before_a_sub_floor_period_keeps_the_partial_trace():
+    # the floor is checked at the step that first uses a period, so a run that
+    # diverges before its first sub-floor period reports the divergence
+    base = SimConfig(params=MotorParams(fidelity="paper_literal"),
+                     schedule=ScheduleSpec(seed=1), duration=60.0)
+    with pytest.raises(DivergenceError) as excinfo:
+        run(base)
+    partial = excinfo.value.trace
+    floor = min(r.h_k for r in partial)
+    sched = Scheduler(base.schedule)
+    periods = [sched.next_period() for _ in range(2 * len(partial))]
+    assert min(periods) < floor  # the schedule does reach below the floor later
+    with pytest.raises(DivergenceError) as excinfo:
+        run(replace(base, guards=GuardSet(eps_h=floor)))
+    assert excinfo.value.trace == partial

@@ -151,6 +151,37 @@ def test_check_conditions_sample_fields():
     assert s.v2_margin == pytest.approx(float(np.max(closed)), rel=1e-12)
 
 
+def sign_samples():
+    """(x, u) pairs: exact-zero states, inputs and components of B u + A x
+    among seeded random ones, and an infinite input that makes it NaN."""
+    rng = np.random.default_rng(13)
+    yield PlantState(0.0, 0.0, 0.0), 0.0
+    yield PlantState(0.0, 0.0, 0.0), -0.0
+    yield PlantState(0.0, 0.0, 0.7), 0.0     # A x = (0, -K_L theta / J, 0)
+    yield PlantState(0.0, 0.0, -0.7), 0.0
+    yield PlantState(0.4, 5.0, 0.1), float("inf")
+    for _ in range(2000):
+        xv = rng.uniform(-10, 10, size=3) * (rng.random(3) < 0.7)  # ~30% exact zeros
+        u = float(rng.uniform(-45, 45)) if rng.random() < 0.8 else 0.0
+        yield PlantState(*xv.tolist()), u
+
+
+def test_sign_flags_equal_the_componentwise_reductions():
+    A, B = continuous_matrices(P)
+    model = discretize(P, 0.11)
+    zero_components = 0
+    for x, u in sign_samples():
+        with np.errstate(invalid="ignore"):  # 0 * inf in B u
+            closed = A @ x.as_array() + B * u
+            s = check_conditions(x, DES, u, model, GAINS, 725.0, P)
+        zero_components += int(np.sum(closed == 0.0))
+        assert s.V2_ok == bool((closed <= 0.0).all()), (x, u)
+        assert s.boundary_high_ok == bool((-closed <= 0.0).all()), (x, u)
+        want = float(closed.max())
+        assert s.v2_margin == want or (np.isnan(want) and np.isnan(s.v2_margin)), (x, u)
+    assert zero_components > 500
+
+
 def test_v1_holds_in_high_kp_regime_on_approach_states():
     # k_P = 565 >> k_D = 0.07: V1 holds on >= 95% of transient approach states
     # ((theta - theta_d) * omega < 0, |omega| >= 1); measured rate is 100%.
