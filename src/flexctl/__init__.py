@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .controller import ControlOutput, GainSet, GuardSet, SamplingTooSmallError, control_input
 from .discretizer import DiscreteModel, discretize, discretize_periods, rotational_row
-from .matseries import SeriesConvergenceError, SeriesOptions, expm_via_phi, phi
+from .matseries import SeriesConvergenceError, expm_via_phi, phi
 from .plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
                     energy_rate, energy_weights)
 from .scheduler import Scheduler, ScheduleSpec
@@ -14,7 +14,7 @@ from .stability import LyapunovSample, StabilityGrid, check_conditions, lyapunov
 __all__ = [
     "ControlOutput", "GainSet", "GuardSet", "SamplingTooSmallError", "control_input",
     "DiscreteModel", "discretize", "discretize_periods", "rotational_row",
-    "SeriesConvergenceError", "SeriesOptions", "expm_via_phi", "phi",
+    "SeriesConvergenceError", "expm_via_phi", "phi",
     "DesiredState", "MotorParams", "PlantState", "continuous_matrices",
     "energy", "energy_rate", "energy_weights",
     "Scheduler", "ScheduleSpec",

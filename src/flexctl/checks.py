@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .discretizer import discretize_periods
-from .matseries import SeriesOptions, phi
+from .matseries import DEFAULT_TOL, phi
 from .plant import MotorParams, continuous_matrices
 
 
@@ -77,8 +77,8 @@ def _reference_cases() -> list[np.ndarray]:
 
 
 def run_identity_checks(seed: int = 0, trials: int = 50,
-                        options: SeriesOptions | None = None) -> list[CheckResult]:
-    """Run the full identity suite; `options` lets a degraded series
+                        tol: float = DEFAULT_TOL) -> list[CheckResult]:
+    """Run the full identity suite; `tol` lets a degraded series
     tolerance be injected to confirm the checks can actually fail."""
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = _random_matrices(rng, trials) + _reference_cases()
@@ -89,17 +89,17 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     hs = [float(rng.uniform(0.01, 0.5)) if _max_norm(M) <= 5.0 else 1.0 for M in integ_mats]
 
     S = np.stack(mats)
-    ph = phi(S, options)
+    ph = phi(S, tol)
     commut = float((_max_norms(S @ ph - ph @ S) / (1.0 + _max_norms(S) ** 2)).max())
     expo = max(map(_rel_err, np.eye(3) + S @ ph, expm(S)))
 
     T = np.stack(Ts)
-    lhs = phi(np.linalg.solve(T, S[: len(half)] @ T), options)
+    lhs = phi(np.linalg.solve(T, S[: len(half)] @ T), tol)
     rhs = np.linalg.solve(T, ph[: len(half)] @ T)
     simil = max(map(_rel_err, lhs, rhs))
 
     H = np.array(hs)[:, None, None]
-    hphi = H * phi(np.stack(integ_mats) * H, options)
+    hphi = H * phi(np.stack(integ_mats) * H, tol)
     integ = max(_max_norm(integral_oracle(M, h) - hp) / max(_max_norm(hp), 1e-300)
                 for M, h, hp in zip(integ_mats, hs, hphi))
 
@@ -111,7 +111,7 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     aug[:3, 3] = B
     periods = np.linspace(0.01, 0.3, 50).tolist()
     bigs = expm(aug * np.array(periods)[:, None, None])
-    for m, big in zip(discretize_periods(p, periods, options=options), bigs):
+    for m, big in zip(discretize_periods(p, periods, tol), bigs):
         disc = max(disc, _rel_err(m.F, big[:3, :3]), _rel_err(m.G, big[:3, 3]))
 
     return [

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .controller import GAIN_MODES, GainSet, GuardSet, SamplingTooSmallError
-from .matseries import SeriesOptions
+from .matseries import DEFAULT_TOL, SeriesConvergenceError
 from .plant import DesiredState, MotorParams, PlantState
 from .scheduler import ScheduleSpec
 from .simulator import (DivergenceError, SimConfig, pair_gain_modes, run, with_gain_mode,
@@ -162,23 +162,21 @@ def _shared_flags(sub: argparse.ArgumentParser, h_min_default=None, h_max_defaul
     sub.add_argument("--fidelity", choices=("corrected", "paper_literal"), default=None)
 
 
-def _resolve(args, schedule_periods: bool = True) -> SimConfig:
-    """The command's SimConfig; `schedule_periods=False` leaves --h-min/--h-max
-    out of the schedule (the stability map uses them for its h axis)."""
-    overrides = {
+def _resolve(args, overrides: dict[str, object]) -> SimConfig:
+    """The command's SimConfig from the flags every command shares plus the
+    command's own flag `overrides` (config key -> value, None when unset)."""
+    shared = {
         "schedule.seed": args.seed,
         "duration": args.duration,
         "gains.gain_mode": args.gain_mode,
         "params.fidelity": args.fidelity,
     }
-    if schedule_periods:
-        overrides |= {"schedule.h_min": args.h_min, "schedule.h_max": args.h_max}
     file_values = parse_config_file(args.config) if args.config else None
-    return build_sim_config(file_values, overrides)
+    return build_sim_config(file_values, shared | overrides)
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, {"schedule.h_min": args.h_min, "schedule.h_max": args.h_max})
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.json")
     try:
@@ -198,7 +196,7 @@ def cmd_compare(args) -> int:
     """Both gain modes per seed. A diverging run stops the sweep: its partial
     trace is written to that mode's CSV and the manifest lists the outputs
     written so far (no summary)."""
-    cfg = _resolve(args)
+    cfg = _resolve(args, {"schedule.h_min": args.h_min, "schedule.h_max": args.h_max})
     seeds = _parse_seeds(args.seeds) if args.seeds else [cfg.schedule.seed]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -239,12 +237,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability_map(args) -> int:
-    cfg = _resolve(args, schedule_periods=False)
-    gains = cfg.gains
-    if args.kp is not None:
-        gains = replace(gains, k_P=args.kp)
-    if args.kd is not None:
-        gains = replace(gains, k_D=args.kd)
+    # --h-min/--h-max bound the map's h axis here, not the schedule
+    cfg = _resolve(args, {"gains.k_P": args.kp, "gains.k_D": args.kd})
     if not np.isfinite([args.h_min, args.h_max, args.omega_min, args.omega_max]).all():
         raise ConfigError("axis bounds must be finite")
     if args.h_min > args.h_max or args.omega_min > args.omega_max:
@@ -253,12 +247,10 @@ def cmd_stability_map(args) -> int:
         raise ConfigError("grid sizes must be >= 1")
     h_values = np.linspace(args.h_min, args.h_max, args.n_h)
     omega_values = np.linspace(args.omega_min, args.omega_max, args.n_omega)
-    grid = stability_map(cfg.params, gains, h_values, omega_values,
-                         desired=cfg.desired)
+    grid = stability_map(cfg.params, cfg.gains, h_values, omega_values, desired=cfg.desired)
     out = Path(args.out)
     grid.write_csv(out)
-    snapshot = config_snapshot(replace(cfg, gains=gains))
-    write_manifest(out.with_suffix(".manifest.json"), "stability-map", snapshot,
+    write_manifest(out.with_suffix(".manifest.json"), "stability-map", config_snapshot(cfg),
                    seeds=[], outputs=[str(out)],
                    extra={"grid": {"h_min": args.h_min, "h_max": args.h_max,
                                    "omega_min": args.omega_min, "omega_max": args.omega_max,
@@ -269,9 +261,8 @@ def cmd_stability_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    options = SeriesOptions(tol=args.tol) if args.tol is not None else None
     results = run_identity_checks(seed=args.seed if args.seed is not None else 0,
-                                  trials=args.trials, options=options)
+                                  trials=args.trials, tol=args.tol)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -315,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="series/discretizer identity suite vs oracles")
     p_val.add_argument("--seed", type=int, default=None)
     p_val.add_argument("--trials", type=int, default=50)
-    p_val.add_argument("--tol", type=float, default=None,
-                       help="inject a series truncation tolerance (degradation testing)")
+    p_val.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="series truncation tolerance; a coarse one shows the checks can fail")
     p_val.set_defaults(func=cmd_validate)
     return parser
 
@@ -329,7 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SamplingTooSmallError, ValueError, OSError) as exc:
+    except (ConfigError, SamplingTooSmallError, SeriesConvergenceError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matseries import SeriesOptions, phi
+from .matseries import DEFAULT_TOL, phi
 from .plant import MotorParams, continuous_matrices
 
 
@@ -44,8 +44,7 @@ class DiscreteModel:
                 raise ValueError(f"{name} must be finite")
 
 
-def discretize_periods(p: MotorParams, periods,
-                       options: SeriesOptions | None = None) -> list[DiscreteModel]:
+def discretize_periods(p: MotorParams, periods, tol: float = DEFAULT_TOL) -> list[DiscreteModel]:
     """Discrete motor models for a list of sampling periods, all from one
     stacked Psi = phi(A h): F = I + Ah*Psi, G = h*Psi*B. Model i has the
     bits that ``discretize(p, periods[i])`` alone would give."""
@@ -53,16 +52,16 @@ def discretize_periods(p: MotorParams, periods,
     A, B = continuous_matrices(p)
     hs = np.array(periods, dtype=float)[:, None, None]
     Ah = A * hs
-    ph = phi(Ah, options)
+    ph = phi(Ah, tol)
     F = np.eye(A.shape[0]) + Ah @ ph
     G = hs * ph @ B
     return [DiscreteModel(F=F[i], G=G[i], h=h, psi=ph[i], A=A, B=B)
             for i, h in enumerate(periods)]
 
 
-def discretize(p: MotorParams, h: float, options: SeriesOptions | None = None) -> DiscreteModel:
+def discretize(p: MotorParams, h: float) -> DiscreteModel:
     """Discrete motor model for sampling period h."""
-    return discretize_periods(p, [h], options)[0]
+    return discretize_periods(p, [h])[0]
 
 
 def rotational_row(m: DiscreteModel) -> np.ndarray:

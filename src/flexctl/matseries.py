@@ -8,12 +8,11 @@ through scaling and phi-doubling, which never inverts M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_TERMS = 60
+# terms the series may take before SeriesConvergenceError
+_MAX_TERMS = 60
 
 # scale M down to this max-norm before running the series
 _SERIES_NORM_LIMIT = 0.5
@@ -23,27 +22,13 @@ class SeriesConvergenceError(RuntimeError):
     """Raised when the term budget runs out before the term norm drops below tol."""
 
 
-@dataclass(frozen=True)
-class SeriesOptions:
-    """Truncation policy for the matrix series."""
-
-    tol: float = DEFAULT_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_terms < 2:
-            raise ValueError(f"max_terms must be >= 2, got {self.max_terms}")
-
-
-def _phi_series(X: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
+def _phi_series(X: np.ndarray, tol: float) -> np.ndarray:
     """Direct evaluation of sum_i X^i/(i+1)! over a (k, n, n) stack, each
     matrix truncated on its own term max-norm. A converged matrix's term is
     zeroed, so it adds exact zeros until the last matrix converges."""
     term = np.broadcast_to(np.eye(X.shape[-1]), X.shape).copy()  # i = 0 terms
     total = term.copy()
-    for i in range(1, max_terms):
+    for i in range(1, _MAX_TERMS):
         term = term @ X / (i + 1)
         total += term
         norms = np.abs(term).max(axis=(1, 2))
@@ -52,14 +37,15 @@ def _phi_series(X: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
             return total
         term[done] = 0.0
     raise SeriesConvergenceError(
-        f"series did not converge within {max_terms} terms "
+        f"series did not converge within {_MAX_TERMS} terms "
         f"(last term norm {norms.max():.3e} >= tol {tol:.3e})"
     )
 
 
-def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
+def phi(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate phi(M) = I + M/2! + M^2/3! + ... for an (n, n) matrix or a
-    (k, n, n) stack of them.
+    (k, n, n) stack of them, truncating each series once its term max-norm
+    drops below tol.
 
     Large arguments are scaled to X = M/2^s with max-norm <= 0.5, summed
     as P = phi(X), E = I + X*P, then doubled back s times with
@@ -72,7 +58,8 @@ def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
     its own number of doublings, so each slice of the result has the bits
     of the call on that matrix alone.
     """
-    opts = options if options is not None else SeriesOptions()
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or 0 in M.shape:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
@@ -90,7 +77,7 @@ def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
     order = np.argsort(-s, kind="stable")
     s = s[order]
     X = stack[order] / (2.0 ** s)[:, None, None]
-    P = _phi_series(X, opts.tol, opts.max_terms)
+    P = _phi_series(X, tol)
     eye = np.eye(M.shape[-1])
     E = eye + X @ P
     with np.errstate(over="ignore", invalid="ignore"):  # overflow detected below
@@ -105,8 +92,8 @@ def phi(M, options: SeriesOptions | None = None) -> np.ndarray:
     return out.reshape(M.shape)
 
 
-def expm_via_phi(M, options: SeriesOptions | None = None) -> np.ndarray:
+def expm_via_phi(M) -> np.ndarray:
     """Matrix exponential through the series operator: e^M = I + M*phi(M),
     for an (n, n) matrix or a (k, n, n) stack."""
-    P = phi(M, options)
+    P = phi(M)
     return np.eye(P.shape[-1]) + np.asarray(M, dtype=float) @ P

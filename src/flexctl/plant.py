@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matseries import SeriesOptions, phi
+from .matseries import phi
 
 FIDELITIES = ("corrected", "paper_literal")
 
@@ -68,10 +68,9 @@ class PlantState:
 class DesiredState:
     theta_d: float = 2.0
     omega_d: float = 0.0
-    current_d: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.theta_d, self.omega_d, self.current_d])):
+        if not np.all(np.isfinite([self.theta_d, self.omega_d])):
             raise ValueError("desired state entries must be finite")
 
 
@@ -100,8 +99,7 @@ def energy(x: PlantState, p: MotorParams) -> float:
     return 0.5 * float(xv * energy_weights(p) @ xv)
 
 
-def energy_rate(x: PlantState, u: float, h: float, p: MotorParams,
-                options: SeriesOptions | None = None) -> float:
+def energy_rate(x: PlantState, u: float, h: float, p: MotorParams) -> float:
     """Discrete forward energy rate E' = x^T D phi(A h)(A x + B u).
 
     h*E' is the first-order part of the energy change over one sample of
@@ -111,4 +109,4 @@ def energy_rate(x: PlantState, u: float, h: float, p: MotorParams,
         raise ValueError(f"h must be > 0, got {h}")
     A, B = continuous_matrices(p)
     xv = x.as_array()
-    return float(xv * energy_weights(p) @ phi(A * h, options) @ (A @ xv + B * u))
+    return float(xv * energy_weights(p) @ phi(A * h) @ (A @ xv + B * u))

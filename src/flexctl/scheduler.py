@@ -13,6 +13,7 @@ every platform and run. Modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,9 @@ class ScheduleSpec:
     mode: str = "random_hold"
 
     def __post_init__(self):
-        if not DEFAULT_EPS_H <= self.h_min <= self.h_max:
+        if not DEFAULT_EPS_H <= self.h_min <= self.h_max < math.inf:
             raise ValueError(
-                f"need eps_h <= h_min <= h_max, got h_min={self.h_min}, h_max={self.h_max}")
+                f"need eps_h <= h_min <= h_max < inf, got h_min={self.h_min}, h_max={self.h_max}")
         if self.hold_max < 1:
             raise ValueError(f"hold_max must be >= 1, got {self.hold_max}")
         if self.mode not in MODES:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -58,8 +59,9 @@ class SimConfig:
     duration: float = 10.0
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        # an infinite horizon would draw periods without end
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
 @dataclass(frozen=True)

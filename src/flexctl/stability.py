@@ -37,9 +37,9 @@ class LyapunovSample:
 
 @dataclass(frozen=True)
 class StabilityGrid:
-    axis1_name: str
+    """V1 margins over h (axis1) by |omega| (axis2)."""
+
     axis1_values: np.ndarray
-    axis2_name: str
     axis2_values: np.ndarray
     margins: np.ndarray  # shape (len(axis1), len(axis2)), V1 left-hand side
 
@@ -130,7 +130,7 @@ def _conditions_from_terms(terms: _LawTerms, d: DesiredState, u: float, model: D
 
 def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
                   current_I: float = 0.4, theta: float = 0.1,
-                  desired: DesiredState | None = None) -> StabilityGrid:
+                  desired: DesiredState = DesiredState()) -> StabilityGrid:
     """V1 margin over an (h, |omega|) grid at constant current and angle.
 
     Every h must be at least the controller's default floor eps_h. All h
@@ -144,7 +144,6 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
         raise ValueError("grid axes must be non-empty")
     if not (np.isfinite(omega_values).all() and np.isfinite(current_I) and np.isfinite(theta)):
         raise ValueError("state entries must be finite")
-    d = desired if desired is not None else DesiredState()
     periods = h_values.tolist()
     for h in periods:
         _check_period(h, DEFAULT_EPS_H)
@@ -158,11 +157,5 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     margins = np.empty((h_values.size, omega_values.size))
     for i, model in enumerate(discretize_periods(p, periods)):
         fmx = np.matmul(X, model.F[1][:, None])[:, 0, 0]
-        margins[i] = _v1_margin(theta, omega_values, d, model.h, gains, fmx)
-    return StabilityGrid(
-        axis1_name="h",
-        axis1_values=h_values,
-        axis2_name="abs_omega",
-        axis2_values=omega_values,
-        margins=margins,
-    )
+        margins[i] = _v1_margin(theta, omega_values, desired, model.h, gains, fmx)
+    return StabilityGrid(axis1_values=h_values, axis2_values=omega_values, margins=margins)

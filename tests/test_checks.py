@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import expm
 
 from flexctl.checks import integral_oracle, run_identity_checks
-from flexctl.matseries import SeriesOptions
 from flexctl.plant import MotorParams, continuous_matrices
 
 
@@ -14,7 +13,7 @@ def test_identity_suite_passes():
 
 
 def test_degraded_series_tolerance_fails_the_suite():
-    results = run_identity_checks(seed=0, options=SeriesOptions(tol=1e-1))
+    results = run_identity_checks(seed=0, tol=1e-1)
     assert not all(r.passed for r in results)
 
 

@@ -43,6 +43,13 @@ def test_run_bad_range_is_usage_error(tmp_path):
     assert "error" in res.stderr
 
 
+def test_run_infinite_h_max_is_usage_error(tmp_path):
+    res = flexctl(["run", "--h-max", "inf"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_run_paper_literal_divergence_exit(tmp_path):
     res = flexctl(["run", "--gain-mode", "constant", "--fidelity", "paper_literal",
                    "--duration", "30", "--out", "div.csv"], tmp_path)
@@ -115,6 +122,22 @@ def test_config_file_unknown_key(tmp_path):
     res = flexctl(["run", "--config", "bad.cfg"], tmp_path)
     assert res.returncode == 2
     assert "unknown config key" in res.stderr
+
+
+def test_config_key_census():
+    # a new config knob, or a removed one coming back, must edit this set
+    assert set(cli._known_keys()) == {
+        "duration",
+        "params.R", "params.L", "params.K_b", "params.K_m", "params.J", "params.B_f",
+        "params.K_L", "params.fidelity",
+        "gains.k_E_s", "gains.k_P", "gains.k_D", "gains.K_c", "gains.h_s", "gains.u_sat",
+        "gains.gain_mode",
+        "guards.eps_h", "guards.eps_c", "guards.eps_den", "guards.eps_Eprime", "guards.k_E_max",
+        "desired.theta_d", "desired.omega_d",
+        "initial.current_I", "initial.omega", "initial.theta",
+        "schedule.h_min", "schedule.h_max", "schedule.seed", "schedule.hold_max",
+        "schedule.mode",
+    }
 
 
 def test_compare_default_outputs(tmp_path):
@@ -222,6 +245,14 @@ def test_validate_degraded_tolerance_fails(tmp_path):
     assert res.returncode != 0
     assert "FAIL" in res.stdout
     assert "e^M = I + M*phi(M)" in res.stdout
+
+
+def test_validate_unreachable_tolerance_is_usage_error(tmp_path):
+    # the series cannot reach 1e-300 within its term budget
+    res = flexctl(["validate", "--trials", "10", "--tol", "1e-300"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: series did not converge")
+    assert "Traceback" not in res.stderr
 
 
 def test_unknown_command_usage_error(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from flexctl.matseries import SeriesConvergenceError, SeriesOptions, expm_via_phi, phi
+from flexctl.matseries import SeriesConvergenceError, expm_via_phi, phi
 from flexctl.plant import MotorParams, continuous_matrices
 
 N_RANDOM = 50
@@ -139,7 +139,7 @@ def test_truncation_monotonicity():
     for M in random_matrices(seed=7, count=10, scale=0.45):
         errs = []
         for tol in (1e-2, 1e-4, 1e-6, 1e-8):
-            got = phi(M, SeriesOptions(tol=tol, max_terms=60))
+            got = phi(M, tol)
             errs.append(np.max(np.abs(got - phi_oracle(M))))
         for coarse, fine in zip(errs[:-1], errs[1:]):
             assert fine <= coarse + 1e-15
@@ -190,8 +190,9 @@ def test_large_norm_argument_matches_augmented_oracle(M):
 
 
 def test_non_convergence_raises():
+    # the term budget runs out with the last term norm far above 1e-300
     with pytest.raises(SeriesConvergenceError):
-        phi(0.4 * np.eye(3), SeriesOptions(tol=1e-12, max_terms=3))
+        phi(0.4 * np.eye(3), 1e-300)
 
 
 def test_overflowing_exponential_raises():
@@ -213,11 +214,11 @@ def test_large_stable_argument_stays_accurate():
     np.testing.assert_allclose(got, want, rtol=1e-11)
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SeriesOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesOptions(max_terms=1)
+def test_tol_validation():
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            phi(np.eye(3), tol)
+    np.testing.assert_array_equal(phi(np.zeros((3, 3)), float("inf")), np.eye(3))
 
 
 def test_input_validation():
@@ -298,6 +299,6 @@ def test_unscalable_norm_raises():
 
 
 def test_stack_non_convergence_raises():
-    # the zero member converges at once; the other does not within 3 terms
+    # the zero member converges at once; the other does not within the budget
     with pytest.raises(SeriesConvergenceError):
-        phi(np.stack([np.zeros((3, 3)), 0.4 * np.eye(3)]), SeriesOptions(tol=1e-12, max_terms=3))
+        phi(np.stack([np.zeros((3, 3)), 0.4 * np.eye(3)]), 1e-300)

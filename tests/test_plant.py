@@ -129,4 +129,4 @@ def test_state_validation_and_roundtrip(component, bad):
 
 def test_desired_state_defaults():
     d = DesiredState()
-    assert (d.theta_d, d.omega_d, d.current_d) == (2.0, 0.0, 0.0)
+    assert (d.theta_d, d.omega_d) == (2.0, 0.0)

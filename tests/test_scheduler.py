@@ -51,6 +51,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ScheduleSpec(h_min=1e-6, h_max=0.2)  # below the sampling floor
     with pytest.raises(ValueError):
+        ScheduleSpec(h_max=np.inf)  # the uniform draw would overflow
+    with pytest.raises(ValueError):
+        ScheduleSpec(h_min=np.inf, h_max=np.inf)
+    with pytest.raises(ValueError):
         ScheduleSpec(hold_max=0)
     with pytest.raises(ValueError):
         ScheduleSpec(mode="sometimes")

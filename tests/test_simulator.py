@@ -1,13 +1,14 @@
 import copy
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flexctl import controller, discretizer, simulator
+from flexctl import cli, controller, discretizer, simulator
 from flexctl.controller import GainSet, GuardSet, SamplingTooSmallError, control_input
 from flexctl.discretizer import discretize, discretize_periods
 from flexctl.matseries import phi
@@ -191,6 +192,11 @@ def test_trace_csv_bytes_deterministic(tmp_path):
 def test_duration_validation():
     with pytest.raises(ValueError):
         SimConfig(duration=0.0)
+    # never run with it: an infinite horizon draws periods without end
+    with pytest.raises(ValueError):
+        SimConfig(duration=math.inf)
+    with pytest.raises(cli.ConfigError):
+        cli.build_sim_config(overrides={"duration": math.inf})
 
 
 def test_rk4_crosscheck_short_window():
@@ -344,9 +350,9 @@ def test_run_discretizes_each_distinct_period_once(monkeypatch, cfg):
         requested.append(list(periods))
         return discretize_periods(p, periods, **kwargs)
 
-    def counting_phi(M, options=None):
+    def counting_phi(M, *args):
         stacks.append(np.shape(M))
-        return phi(M, options)
+        return phi(M, *args)
 
     monkeypatch.setattr(simulator, "discretize_periods", counting_periods)
     monkeypatch.setattr(discretizer, "phi", counting_phi)

@@ -151,6 +151,19 @@ def test_check_conditions_sample_fields():
     assert s.v2_margin == pytest.approx(float(np.max(closed)), rel=1e-12)
 
 
+def test_v1_and_v2_do_not_imply_a_decreasing_v():
+    # V2 bounds the energy term k_E E w (A x + B u) only where w = x^T D phi(A h)
+    # is componentwise >= 0; here w has negative I and omega entries
+    x = PlantState(-2.738, -29.12, 2.257)
+    h, u = 0.0525, -33.71
+    s = check_conditions(x, DES, u, discretize(P, h), GAINS, GAINS.k_E_s, P)
+    assert s.V1_ok and s.V2_ok
+    assert not s.condition_main
+    assert s.V_prime == pytest.approx(22_730.6, rel=1e-5)
+    assert s.V_prime == pytest.approx(v_prime_oracle(x, DES, u, h, GAINS, GAINS.k_E_s, P),
+                                      rel=1e-9)
+
+
 def sign_samples():
     """(x, u) pairs: exact-zero states, inputs and components of B u + A x
     among seeded random ones, and an infinite input that makes it NaN."""
