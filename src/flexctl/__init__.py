@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .controller import ControlOutput, GainSet, GuardSet, SamplingTooSmallError, control_input
+from .controller import ControlOutput, GainSet, SamplingTooSmallError, control_input
 from .discretizer import DiscreteModel, discretize, discretize_periods, rotational_row
 from .matseries import SeriesConvergenceError, expm_via_phi, phi
 from .plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
@@ -12,7 +12,7 @@ from .simulator import DivergenceError, SimConfig, TraceRecord, compare_gain_mod
 from .stability import LyapunovSample, StabilityGrid, check_conditions, lyapunov, stability_map, v_prime
 
 __all__ = [
-    "ControlOutput", "GainSet", "GuardSet", "SamplingTooSmallError", "control_input",
+    "ControlOutput", "GainSet", "SamplingTooSmallError", "control_input",
     "DiscreteModel", "discretize", "discretize_periods", "rotational_row",
     "SeriesConvergenceError", "expm_via_phi", "phi",
     "DesiredState", "MotorParams", "PlantState", "continuous_matrices",

@@ -6,7 +6,8 @@ with precedence built-in defaults < FLEXCTL_SEED (seed only) < config file
 comments; keys mirror the dataclass fields (`params.R`, `gains.k_P`,
 `schedule.h_min`, `initial.theta`, `duration`, ...).
 
-Exit codes: 0 ok, 2 usage/config error, 3 divergence.
+Exit codes: 0 ok, 1 failed `validate` checks, 2 usage/config error (an
+unrepresentable e^(Ah) among them), 3 divergence.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controller import GAIN_MODES, GainSet, GuardSet, SamplingTooSmallError
+from .controller import GAIN_MODES, GainSet
 from .matseries import DEFAULT_TOL, SeriesConvergenceError
 from .plant import DesiredState, MotorParams, PlantState
 from .scheduler import ScheduleSpec
@@ -37,7 +38,6 @@ EXIT_DIVERGENCE = 3
 _SECTIONS = {
     "params": MotorParams,
     "gains": GainSet,
-    "guards": GuardSet,
     "desired": DesiredState,
     "initial": PlantState,
     "schedule": ScheduleSpec,
@@ -152,31 +152,31 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _shared_flags(sub: argparse.ArgumentParser, h_min_default=None, h_max_default=None) -> None:
+def _shared_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags of every command that resolves a SimConfig."""
     sub.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--fidelity", dest="params.fidelity", choices=("corrected", "paper_literal"),
+                     default=None)
+
+
+def _simulation_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags of the commands that simulate: run and compare."""
+    sub.add_argument("--seed", dest="schedule.seed", type=int, default=None)
     sub.add_argument("--duration", type=float, default=None, help="simulation horizon [s]")
-    sub.add_argument("--h-min", type=float, default=h_min_default)
-    sub.add_argument("--h-max", type=float, default=h_max_default)
-    sub.add_argument("--gain-mode", choices=("dynamic", "constant"), default=None)
-    sub.add_argument("--fidelity", choices=("corrected", "paper_literal"), default=None)
+    sub.add_argument("--h-min", dest="schedule.h_min", type=float, default=None)
+    sub.add_argument("--h-max", dest="schedule.h_max", type=float, default=None)
 
 
-def _resolve(args, overrides: dict[str, object]) -> SimConfig:
-    """The command's SimConfig from the flags every command shares plus the
-    command's own flag `overrides` (config key -> value, None when unset)."""
-    shared = {
-        "schedule.seed": args.seed,
-        "duration": args.duration,
-        "gains.gain_mode": args.gain_mode,
-        "params.fidelity": args.fidelity,
-    }
+def _resolve(args) -> SimConfig:
+    """The command's SimConfig. A flag that sets a config key stores its
+    value under that key (its dest), so every such flag is applied here."""
     file_values = parse_config_file(args.config) if args.config else None
-    return build_sim_config(file_values, shared | overrides)
+    known = _known_keys()
+    return build_sim_config(file_values, {k: v for k, v in vars(args).items() if k in known})
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve(args, {"schedule.h_min": args.h_min, "schedule.h_max": args.h_max})
+    cfg = _resolve(args)
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.json")
     try:
@@ -196,7 +196,7 @@ def cmd_compare(args) -> int:
     """Both gain modes per seed. A diverging run stops the sweep: its partial
     trace is written to that mode's CSV and the manifest lists the outputs
     written so far (no summary)."""
-    cfg = _resolve(args, {"schedule.h_min": args.h_min, "schedule.h_max": args.h_max})
+    cfg = _resolve(args)
     seeds = _parse_seeds(args.seeds) if args.seeds else [cfg.schedule.seed]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -237,8 +237,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability_map(args) -> int:
-    # --h-min/--h-max bound the map's h axis here, not the schedule
-    cfg = _resolve(args, {"gains.k_P": args.kp, "gains.k_D": args.kd})
+    cfg = _resolve(args)
     if not np.isfinite([args.h_min, args.h_max, args.omega_min, args.omega_max]).all():
         raise ConfigError("axis bounds must be finite")
     if args.h_min > args.h_max or args.omega_min > args.omega_max:
@@ -247,7 +246,9 @@ def cmd_stability_map(args) -> int:
         raise ConfigError("grid sizes must be >= 1")
     h_values = np.linspace(args.h_min, args.h_max, args.n_h)
     omega_values = np.linspace(args.omega_min, args.omega_max, args.n_omega)
-    grid = stability_map(cfg.params, cfg.gains, h_values, omega_values, desired=cfg.desired)
+    grid = stability_map(cfg.params, cfg.gains, h_values, omega_values,
+                         current_I=cfg.initial.current_I, theta=cfg.initial.theta,
+                         desired=cfg.desired)
     out = Path(args.out)
     grid.write_csv(out)
     write_manifest(out.with_suffix(".manifest.json"), "stability-map", config_snapshot(cfg),
@@ -282,25 +283,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="closed-loop simulation, trace CSV out")
     _shared_flags(p_run)
+    _simulation_flags(p_run)
+    p_run.add_argument("--gain-mode", dest="gains.gain_mode", choices=GAIN_MODES, default=None)
     p_run.add_argument("--out", type=str, default="trace.csv")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="dynamic vs constant gain on shared schedules")
     _shared_flags(p_cmp)
+    _simulation_flags(p_cmp)
     p_cmp.add_argument("--out", type=str, default=".", help="output directory")
     p_cmp.add_argument("--seeds", type=str, default=None,
                        help="seed sweep: `3`, `1,2,5`, or `1..10`")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_map = sub.add_parser("stability-map", help="V1 margin over an (h, |omega|) grid")
-    _shared_flags(p_map, h_min_default=0.01, h_max_default=0.3)
+    _shared_flags(p_map)
     p_map.add_argument("--out", type=str, default="stability_map.csv")
+    # the map's h axis; the schedule's bounds come from the config only
+    p_map.add_argument("--h-min", type=float, default=0.01)
+    p_map.add_argument("--h-max", type=float, default=0.3)
     p_map.add_argument("--omega-min", type=float, default=0.0)
     p_map.add_argument("--omega-max", type=float, default=10.0)
     p_map.add_argument("--n-h", type=int, default=50)
     p_map.add_argument("--n-omega", type=int, default=50)
-    p_map.add_argument("--kp", type=float, default=None)
-    p_map.add_argument("--kd", type=float, default=None)
+    p_map.add_argument("--kp", dest="gains.k_P", type=float, default=None)
+    p_map.add_argument("--kd", dest="gains.k_D", type=float, default=None)
     p_map.set_defaults(func=cmd_stability_map)
 
     p_val = sub.add_parser("validate", help="series/discretizer identity suite vs oracles")
@@ -318,10 +325,11 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    # ConfigError and SamplingTooSmallError are ValueErrors; phi raises
+    # OverflowError for an unrepresentable e^(Ah)
     try:
         return args.func(args)
-    except (ConfigError, SamplingTooSmallError, SeriesConvergenceError, ValueError,
-            OSError) as exc:
+    except (ValueError, OverflowError, SeriesConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,12 +19,16 @@ from .plant import DesiredState, MotorParams, PlantState, energy_weights
 
 GAIN_MODES = ("dynamic", "constant")
 
-# smallest sampling period the controller accepts (the h -> 0 singularity floor)
-DEFAULT_EPS_H = 1e-4
+# smallest sampling period the program accepts (the h -> 0 singularity floor) [s]
+EPS_H = 1e-4
+EPS_C = 1e-6        # stored-energy floor [J]
+EPS_DEN = 1e-9      # control-law denominator floor
+EPS_EPRIME = 1e-9   # energy-rate floor in the gain-retune rule [W]
+K_E_MAX = 1e6       # upper clamp for the retuned gain
 
 
 class SamplingTooSmallError(ValueError):
-    """Raised when a period is below the sampling floor eps_h."""
+    """Raised when a period is below the sampling floor EPS_H."""
 
 
 @dataclass(frozen=True)
@@ -47,22 +51,6 @@ class GainSet:
             raise ValueError(f"K_c must be >= 0, got {self.K_c}")
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"gain_mode must be one of {GAIN_MODES}, got {self.gain_mode!r}")
-
-
-@dataclass(frozen=True)
-class GuardSet:
-    """Singularity floors and clamps, all configurable."""
-
-    eps_h: float = DEFAULT_EPS_H  # sampling-period floor [s]
-    eps_c: float = 1e-6           # stored-energy floor [J]
-    eps_den: float = 1e-9         # control-law denominator floor
-    eps_Eprime: float = 1e-9      # energy-rate floor in the gain-retune rule [W]
-    k_E_max: float = 1e6          # upper clamp for the retuned gain
-
-    def __post_init__(self):
-        for name in ("eps_h", "eps_c", "eps_den", "eps_Eprime", "k_E_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -117,65 +105,63 @@ def _state_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: Ga
     return _law_terms(x.as_array(), x.omega, x.theta, d, model, gains, energy_weights(p))
 
 
-def _check_period(h: float, eps_h: float) -> None:
-    if h < eps_h:
-        raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {eps_h}")
+def _check_period(h: float) -> None:
+    if h < EPS_H:
+        raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {EPS_H}")
 
 
 def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
-                     psi_s: np.ndarray | None, gains: GainSet,
-                     guards: GuardSet) -> tuple[float, bool]:
+                     psi_s: np.ndarray, gains: GainSet) -> tuple[float, bool]:
     """Per-period energy gain k_E(h_k) = k_E_s * E'(h_s)/E'(h_k) + K_c, plus a
     flag for the |E'(h_k)| floor fallback.
 
     Both energy rates are evaluated at the current state with the previous
     input, which keeps the rule causal: E'(h) = x^T D Psi (A x + B u_prev)
-    with Psi = model.psi at h_k and Psi_s = phi(A h_s) (built here when None)
-    at h_s. The result is clamped to [K_c, k_E_max]; when |E'(h_k)| is below
-    the floor the standard gain is returned. In constant mode it is k_E_s.
+    with Psi = model.psi at h_k and Psi_s = phi(A h_s) at h_s. The result is
+    clamped to [K_c, K_E_MAX]; when |E'(h_k)| is below EPS_EPRIME the
+    standard gain is returned. In constant mode it is k_E_s.
     """
     if gains.gain_mode == "constant":
         return gains.k_E_s, False
     v = terms.ax + model.B * u_prev
     e_rate_k = float(terms.w @ v)
-    if abs(e_rate_k) < guards.eps_Eprime:
+    if abs(e_rate_k) < EPS_EPRIME:
         return gains.k_E_s, True
-    if psi_s is None:
-        psi_s = phi(model.A * gains.h_s)
     e_rate_s = float(terms.xd @ psi_s @ v)
     raw = gains.k_E_s * e_rate_s / e_rate_k + gains.K_c
-    return float(min(max(raw, gains.K_c), guards.k_E_max)), False
+    return float(min(max(raw, gains.K_c), K_E_MAX)), False
 
 
 def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
-                  guards: GuardSet, p: MotorParams, u_prev: float,
-                  psi_s: np.ndarray | None = None) -> ControlOutput:
+                  p: MotorParams, u_prev: float) -> ControlOutput:
     """Control voltage for the current sample, always within +-u_sat.
 
-    Every term at h_k uses the model's Psi, A and B; ``psi_s`` is
-    phi(A h_s) for a caller that holds it across steps, and is built on
-    demand otherwise. ``k_E_used`` is the retuned gain (k_E_s in constant
-    mode). A period below ``guards.eps_h`` raises SamplingTooSmallError.
+    Every term at h_k uses the model's Psi, A and B, and the retune builds
+    phi(A h_s) for the standard period. ``k_E_used`` is the retuned gain
+    (k_E_s in constant mode). A period below EPS_H raises
+    SamplingTooSmallError.
 
     Guard events (one is reported, in this precedence):
-      energy_floor      E_k <= eps_c, system is essentially at rest -> u = 0
-      denominator_floor |den| < eps_den -> hold the previous input
+      energy_floor      E_k <= EPS_C, system is essentially at rest -> u = 0
+      denominator_floor |den| < EPS_DEN -> hold the previous input
       gain_fallback     retune ratio undefined, standard gain used instead
     """
-    _check_period(model.h, guards.eps_h)
-    return _control_from_terms(_state_terms(x, d, model, gains, p), model, gains, guards, u_prev, psi_s)
+    _check_period(model.h)
+    return _control_from_terms(_state_terms(x, d, model, gains, p), model, gains, u_prev,
+                               phi(model.A * gains.h_s))
 
 
-def _control_from_terms(terms: _LawTerms, model: DiscreteModel, gains: GainSet, guards: GuardSet,
-                        u_prev: float, psi_s: np.ndarray | None) -> ControlOutput:
-    """``control_input`` from terms already formed; the period is not checked here."""
-    k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains, guards)
-    if terms.E <= guards.eps_c:
+def _control_from_terms(terms: _LawTerms, model: DiscreteModel, gains: GainSet,
+                        u_prev: float, psi_s: np.ndarray) -> ControlOutput:
+    """``control_input`` from terms already formed, with psi_s = phi(A h_s);
+    the period is not checked here."""
+    k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains)
+    if terms.E <= EPS_C:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")
 
     u_sat = gains.u_sat
     den = k_E * terms.E * float(terms.w @ model.B)
-    if abs(den) < guards.eps_den:
+    if abs(den) < EPS_DEN:
         u = float(min(max(u_prev, -u_sat), u_sat))
         return ControlOutput(u=u, k_E_used=k_E, saturated=abs(u_prev) > u_sat,
                              guard_event="denominator_floor")

@@ -26,7 +26,7 @@ class DiscreteModel:
     together with the continuous pair (A, B) the model was built from.
 
     Build it with ``discretize`` or ``discretize_periods``. The sampling
-    floor of the control law is the controller's guard, not the model's.
+    floor EPS_H is the controller's, not the model's.
     """
 
     F: np.ndarray
@@ -51,10 +51,12 @@ def discretize_periods(p: MotorParams, periods, tol: float = DEFAULT_TOL) -> lis
     periods = list(periods)
     A, B = continuous_matrices(p)
     hs = np.array(periods, dtype=float)[:, None, None]
-    Ah = A * hs
-    ph = phi(Ah, tol)
-    F = np.eye(A.shape[0]) + Ah @ ph
-    G = hs * ph @ B
+    # phi reports an infinite A h, and DiscreteModel an infinite F or G
+    with np.errstate(over="ignore"):
+        Ah = A * hs
+        ph = phi(Ah, tol)
+        F = np.eye(A.shape[0]) + Ah @ ph
+        G = hs * ph @ B
     return [DiscreteModel(F=F[i], G=G[i], h=h, psi=ph[i], A=A, B=B)
             for i, h in enumerate(periods)]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import DEFAULT_EPS_H
+from .controller import EPS_H
 
 MODES = ("random_hold", "per_step", "fixed")
 
@@ -32,7 +32,7 @@ class ScheduleSpec:
     mode: str = "random_hold"
 
     def __post_init__(self):
-        if not DEFAULT_EPS_H <= self.h_min <= self.h_max < math.inf:
+        if not EPS_H <= self.h_min <= self.h_max < math.inf:
             raise ValueError(
                 f"need eps_h <= h_min <= h_max < inf, got h_min={self.h_min}, h_max={self.h_max}")
         if self.hold_max < 1:

@@ -1,10 +1,10 @@
 """Closed-loop simulation: the period schedule drawn and discretized up
-front, then per step the sampling-floor check, the terms of the Lyapunov
-rate formed once, the gain retune, control input and diagnostics taken from
-those terms, the exact ZOH state update and a divergence check on the new
-state. The public ``control_input``, ``check_conditions`` and ``energy``
-give the same bits from a ``PlantState``; the loop carries the state as a
-vector and its three components as floats instead.
+front, then per step the terms of the Lyapunov rate formed once, the gain
+retune, control input and diagnostics taken from those terms, the exact ZOH
+state update and a divergence check on the new state. The public
+``control_input``, ``check_conditions`` and ``energy`` give the same bits
+from a ``PlantState``; the loop carries the state as a vector and its three
+components as floats instead.
 
 The discrete update x[k+1] = F x[k] + G u[k] is the exact zero-order-hold
 solution, so no ODE solver is involved in a run. ``rk4_crosscheck`` is a
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, GuardSet, _check_period, _control_from_terms, _law_terms
+from .controller import GainSet, _control_from_terms, _law_terms
 from .discretizer import discretize_periods
 from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy_weights
 from .scheduler import Scheduler, ScheduleSpec
@@ -52,7 +52,6 @@ class DivergenceError(RuntimeError):
 class SimConfig:
     params: MotorParams = MotorParams()
     gains: GainSet = GainSet()
-    guards: GuardSet = GuardSet()
     desired: DesiredState = DesiredState()
     initial: PlantState = PlantState(current_I=0.4, omega=5.0, theta=0.1)
     schedule: ScheduleSpec = ScheduleSpec()
@@ -92,9 +91,10 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     The period sequence does not depend on the state, so it is drawn in
     full first, with the clock accumulating h as the steps will. Each
     distinct period, plus h_s for phi(A h_s), is then discretized once,
-    all in one stacked series evaluation, before the first step. A period
-    below the floor guards.eps_h raises SamplingTooSmallError at its step.
-    Input threading is strictly sequential: u_prev feeds the gain retune
+    all in one stacked series evaluation, before the first step. No step
+    checks the sampling floor EPS_H: every period lies in [h_min, h_max],
+    ScheduleSpec holds h_min >= EPS_H, and Generator.uniform(low, high)
+    never returns less than low. Input threading is strictly sequential: u_prev feeds the gain retune
     of the next step and starts at 0 V.
 
     Each step forms the law terms once and takes the control input and the
@@ -113,7 +113,7 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     models = dict(zip(distinct, built))
     psi_s = built[-1].psi
 
-    d, gains, guards = cfg.desired, cfg.gains, cfg.guards
+    d, gains = cfg.desired, cfg.gains
     weights = energy_weights(cfg.params)
     x0 = cfg.initial
     xv = x0.as_array()
@@ -122,10 +122,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     t = 0.0
     records: list[TraceRecord] = []
     for k, h in enumerate(periods):
-        _check_period(h, guards.eps_h)
         model = models[h]
         terms = _law_terms(xv, omega, theta, d, model, gains, weights)
-        out = _control_from_terms(terms, model, gains, guards, u_prev, psi_s)
+        out = _control_from_terms(terms, model, gains, u_prev, psi_s)
         sample = _conditions_from_terms(terms, d, out.u, model, gains, out.k_E_used)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=I, omega=omega, theta=theta,

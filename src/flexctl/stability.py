@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import DEFAULT_EPS_H, GainSet, _LawTerms, _check_period, _state_terms
+from .controller import GainSet, _LawTerms, _check_period, _state_terms
 from .discretizer import DiscreteModel, discretize_periods
 from .plant import DesiredState, MotorParams, PlantState
 
@@ -133,7 +133,7 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
                   desired: DesiredState = DesiredState()) -> StabilityGrid:
     """V1 margin over an (h, |omega|) grid at constant current and angle.
 
-    Every h must be at least the controller's default floor eps_h. All h
+    Every h must be at least the sampling floor EPS_H. All h
     rows are discretized in one stacked series evaluation; each row is then
     one `_v1_margin` over all the omega values, so every cell has the bits
     of the per-cell `v1_margin` call.
@@ -146,7 +146,7 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
         raise ValueError("state entries must be finite")
     periods = h_values.tolist()
     for h in periods:
-        _check_period(h, DEFAULT_EPS_H)
+        _check_period(h)
 
     # the states as a stack of 1x3 rows: matmul with the 3x1 column F_m then
     # rounds each F_m x as the 3-element product of the per-cell call does

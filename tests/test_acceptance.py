@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.controller import GainSet, GuardSet, control_input
+from flexctl.controller import GainSet, control_input
 from flexctl.discretizer import discretize, rotational_row
 from flexctl.matseries import expm_via_phi, phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
@@ -24,7 +24,6 @@ from flexctl.stability import stability_map, v_prime
 
 P = MotorParams()
 GAINS = GainSet()
-GUARDS = GuardSet()
 DES = DesiredState()
 SEEDS = list(range(1, 11))
 
@@ -119,7 +118,7 @@ def test_criterion_03_controller_closure():
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
         model = discretize(P, h)
-        out = control_input(x, DES, model, GAINS, GUARDS, P, u_prev)
+        out = control_input(x, DES, model, GAINS, P, u_prev)
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1

@@ -1,11 +1,18 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from flexctl import cli
+from flexctl.controller import GainSet
+from flexctl.plant import DesiredState, MotorParams
 from flexctl.scheduler import ScheduleSpec
 from flexctl.simulator import TRACE_COLUMNS, DivergenceError, SimConfig, read_trace_csv, run
+from flexctl.stability import stability_map
 
 
 def flexctl(args, cwd, env_extra=None):
@@ -48,6 +55,24 @@ def test_run_infinite_h_max_is_usage_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    # e^(Ah) beyond the float range: phi's OverflowError
+    ["run", "--fidelity", "paper_literal", "--h-min", "800", "--h-max", "900",
+     "--duration", "1000"],
+    ["stability-map", "--fidelity", "paper_literal", "--h-max", "1000"],
+    # A h itself beyond the float range: phi's finiteness check, with no warning
+    ["run", "--h-max", "1e308"],
+    # e^(Ah) representable but F = I + A h Psi not: DiscreteModel's check
+    ["run", "--fidelity", "paper_literal", "--h-min", "705", "--h-max", "705",
+     "--duration", "2000"],
+], ids=["run_e_Ah_overflow", "map_e_Ah_overflow", "run_Ah_overflow", "run_F_overflow"])
+def test_unrepresentable_e_Ah_is_usage_error(tmp_path, args):
+    res = flexctl([*args, "--out", "out.csv"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
 
 
 def test_run_paper_literal_divergence_exit(tmp_path):
@@ -132,11 +157,26 @@ def test_config_key_census():
         "params.K_L", "params.fidelity",
         "gains.k_E_s", "gains.k_P", "gains.k_D", "gains.K_c", "gains.h_s", "gains.u_sat",
         "gains.gain_mode",
-        "guards.eps_h", "guards.eps_c", "guards.eps_den", "guards.eps_Eprime", "guards.k_E_max",
         "desired.theta_d", "desired.omega_d",
         "initial.current_I", "initial.omega", "initial.theta",
         "schedule.h_min", "schedule.h_max", "schedule.seed", "schedule.hold_max",
         "schedule.mode",
+    }
+
+
+def test_flag_census():
+    # a new flag, or a removed one coming back, must edit this table
+    subparsers = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+             for name, sub in subparsers.choices.items()}
+    assert flags == {
+        "run": {"--config", "--fidelity", "--seed", "--duration", "--h-min", "--h-max",
+                "--gain-mode", "--out"},
+        "compare": {"--config", "--fidelity", "--seed", "--duration", "--h-min", "--h-max",
+                    "--out", "--seeds"},
+        "stability-map": {"--config", "--fidelity", "--out", "--h-min", "--h-max",
+                          "--omega-min", "--omega-max", "--n-h", "--n-omega", "--kp", "--kd"},
+        "validate": {"--seed", "--trials", "--tol"},
     }
 
 
@@ -211,6 +251,17 @@ def test_stability_map_reversed_h_axis_is_usage_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr == "error: axis bounds must satisfy min <= max\n"
     assert not (tmp_path / "map.csv").exists()
+
+
+def test_stability_map_takes_its_state_from_the_initial_config(tmp_path):
+    (tmp_path / "state.cfg").write_text("initial.theta = 1.9\ninitial.current_I = 3.0\n")
+    res = flexctl(["stability-map", "--config", "state.cfg", "--out", "map.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    grid = stability_map(MotorParams(), GainSet(), np.linspace(0.01, 0.3, 50),
+                         np.linspace(0.0, 10.0, 50), current_I=3.0, theta=1.9,
+                         desired=DesiredState())
+    grid.write_csv(tmp_path / "want.csv")
+    assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_stability_map_manifest_keeps_the_schedule(tmp_path):

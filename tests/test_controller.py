@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexctl.controller import ControlOutput, GainSet, GuardSet, SamplingTooSmallError, control_input
+from flexctl.controller import ControlOutput, GainSet, SamplingTooSmallError, control_input
 from flexctl.discretizer import discretize, rotational_row
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
@@ -10,13 +10,12 @@ from flexctl.stability import v_prime
 
 P = MotorParams()
 GAINS = GainSet()
-GUARDS = GuardSet()
 DES = DesiredState()
 X0 = PlantState(0.4, 5.0, 0.1)
 
 
 def retuned_gain(x, u_prev, h, gains=GAINS):
-    return control_input(x, DES, discretize(P, h), gains, GUARDS, P, u_prev).k_E_used
+    return control_input(x, DES, discretize(P, h), gains, P, u_prev).k_E_used
 
 
 def test_dynamic_gain_at_standard_period():
@@ -47,7 +46,7 @@ def test_dynamic_gain_clamped_from_below():
 def test_rest_state_at_origin_gets_energy_floor():
     model = discretize(P, 0.11)
     out = control_input(PlantState(0, 0, 0), DesiredState(theta_d=0.0), model,
-                        GAINS, GUARDS, P, u_prev=0.0)
+                        GAINS, P, u_prev=0.0)
     assert out.guard_event == "energy_floor"
     assert out.u == 0.0
     assert not out.saturated
@@ -62,7 +61,7 @@ def test_closure_identity_on_random_states():
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
         model = discretize(P, h)
-        out = control_input(x, DES, model, GAINS, GUARDS, P, u_prev)
+        out = control_input(x, DES, model, GAINS, P, u_prev)
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
@@ -80,7 +79,7 @@ def test_large_error_state_saturates():
     # initial state also drives u_raw far beyond the 45 V limit
     model = discretize(P, 0.11)
     for x in (PlantState(0.0, -50.0, DES.theta_d + 10.0), X0):
-        out = control_input(x, DES, model, GAINS, GUARDS, P, u_prev=0.0)
+        out = control_input(x, DES, model, GAINS, P, u_prev=0.0)
         assert out.saturated
         assert abs(out.u) == GAINS.u_sat
 
@@ -90,14 +89,14 @@ def test_output_always_within_saturation():
     for _ in range(200):
         x = PlantState(*rng.uniform(-50, 50, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
-        out = control_input(x, DES, model, GAINS, GUARDS, P, float(rng.uniform(-100, 100)))
+        out = control_input(x, DES, model, GAINS, P, float(rng.uniform(-100, 100)))
         assert abs(out.u) <= GAINS.u_sat
 
 
 def test_sampling_floor_raises():
     model = discretize(P, 5e-5)
     with pytest.raises(SamplingTooSmallError):
-        control_input(X0, DES, model, GAINS, GUARDS, P, 0.0)
+        control_input(X0, DES, model, GAINS, P, 0.0)
 
 
 def test_denominator_floor_holds_previous_input():
@@ -106,11 +105,11 @@ def test_denominator_floor_holds_previous_input():
     A, B = continuous_matrices(P)
     v = np.diag(energy_weights(P)) @ phi(A * h) @ B
     x = PlantState(v[1], -v[0], 0.0)  # x . (D phi B) = 0 exactly
-    out = control_input(x, DES, model, GAINS, GUARDS, P, u_prev=7.5)
+    out = control_input(x, DES, model, GAINS, P, u_prev=7.5)
     assert out.guard_event == "denominator_floor"
     assert out.u == 7.5
 
-    out_big = control_input(x, DES, model, GAINS, GUARDS, P, u_prev=100.0)
+    out_big = control_input(x, DES, model, GAINS, P, u_prev=100.0)
     assert out_big.u == GAINS.u_sat
     assert out_big.saturated
 
@@ -122,15 +121,15 @@ def test_gain_fallback_event_surfaces():
     xv = X0.as_array()
     w = xv @ np.diag(energy_weights(P)) @ phi(A * h)
     hold = -float(w @ (A @ xv)) / float(w @ B)  # makes E'(h_k) vanish
-    out = control_input(X0, DES, model, GAINS, GUARDS, P, u_prev=hold)
+    out = control_input(X0, DES, model, GAINS, P, u_prev=hold)
     assert out.guard_event == "gain_fallback"
     assert out.k_E_used == GAINS.k_E_s
 
 
 def test_determinism():
     model = discretize(P, 0.13)
-    a = control_input(X0, DES, model, GAINS, GUARDS, P, 1.25)
-    b = control_input(X0, DES, model, GAINS, GUARDS, P, 1.25)
+    a = control_input(X0, DES, model, GAINS, P, 1.25)
+    b = control_input(X0, DES, model, GAINS, P, 1.25)
     assert a == b
     assert isinstance(a, ControlOutput)
 
@@ -140,5 +139,3 @@ def test_gain_and_guard_validation():
         GainSet(k_P=-1.0)
     with pytest.raises(ValueError):
         GainSet(gain_mode="sometimes")
-    with pytest.raises(ValueError):
-        GuardSet(eps_h=0.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flexctl import cli, controller, discretizer, simulator
-from flexctl.controller import GainSet, GuardSet, SamplingTooSmallError, control_input
+from flexctl.controller import EPS_H, GainSet, control_input
 from flexctl.discretizer import discretize, discretize_periods
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
@@ -278,7 +278,7 @@ def test_trace_record_fields_match_columns():
 
 def replay(cfg):
     """The closed loop rebuilt from public calls: a fresh model every step,
-    and control_input left to build phi(A h_s) on its own."""
+    and control_input building phi(A h_s) on its own."""
     sched = Scheduler(cfg.schedule)
     p = cfg.params
     state, u_prev, t, k = cfg.initial, 0.0, 0.0, 0
@@ -289,7 +289,7 @@ def replay(cfg):
         xv = state.as_array()
         assert energy_rate(state, u_prev, model.h, p) == float(
             xv * energy_weights(p) @ model.psi @ (model.A @ xv + model.B * u_prev))
-        out = control_input(state, cfg.desired, model, cfg.gains, cfg.guards, p, u_prev)
+        out = control_input(state, cfg.desired, model, cfg.gains, p, u_prev)
         sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, p)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=state.current_I, omega=state.omega, theta=state.theta,
@@ -339,8 +339,8 @@ def test_trace_bytes_match_the_golden_digest(tmp_path):
 @pytest.mark.parametrize("cfg", [
     SimConfig(schedule=ScheduleSpec(seed=2, mode="random_hold")),
     SimConfig(schedule=ScheduleSpec(seed=2, mode="per_step")),
-    # a standard period below the floor eps_h rides in the stack like any other
-    SimConfig(gains=GainSet(h_s=0.05), guards=GuardSet(eps_h=0.06),
+    # a standard period below the floor EPS_H rides in the stack like any other
+    SimConfig(gains=GainSet(h_s=5e-5),
               schedule=ScheduleSpec(seed=5, h_min=0.07, h_max=0.2), duration=3.0),
 ], ids=["random_hold", "per_step", "h_s_below_floor"])
 def test_run_discretizes_each_distinct_period_once(monkeypatch, cfg):
@@ -367,19 +367,13 @@ def test_run_discretizes_each_distinct_period_once(monkeypatch, cfg):
 
 
 def test_run_with_standard_period_below_the_floor_matches_replay():
-    # psi_s from the stacked run, built on demand by the replay
-    cfg = SimConfig(gains=GainSet(h_s=0.05), guards=GuardSet(eps_h=0.06),
+    # psi_s from the stacked run, built by control_input in the replay
+    cfg = SimConfig(gains=GainSet(h_s=5e-5),
                     schedule=ScheduleSpec(seed=5, h_min=0.07, h_max=0.2), duration=3.0)
+    assert cfg.gains.h_s < EPS_H
     trace = run(cfg)
     assert len(trace) > 10
     assert replay(cfg) == trace
-
-
-def test_run_rejects_a_period_below_the_guard_floor():
-    cfg = SimConfig(guards=GuardSet(eps_h=0.06),
-                    schedule=ScheduleSpec(h_min=0.05, h_max=0.2, mode="fixed"))
-    with pytest.raises(SamplingTooSmallError):
-        run(cfg)
 
 
 def test_divergence_carries_the_partial_trace():
@@ -445,20 +439,3 @@ def test_nan_next_state_raises_with_the_partial_trace(monkeypatch):
         run(cfg)
     assert k_bad > 0
     assert excinfo.value.trace == clean[:k_bad + 1]
-
-
-def test_divergence_before_a_sub_floor_period_keeps_the_partial_trace():
-    # the floor is checked at the step that first uses a period, so a run that
-    # diverges before its first sub-floor period reports the divergence
-    base = SimConfig(params=MotorParams(fidelity="paper_literal"),
-                     schedule=ScheduleSpec(seed=1), duration=60.0)
-    with pytest.raises(DivergenceError) as excinfo:
-        run(base)
-    partial = excinfo.value.trace
-    floor = min(r.h_k for r in partial)
-    sched = Scheduler(base.schedule)
-    periods = [sched.next_period() for _ in range(2 * len(partial))]
-    assert min(periods) < floor  # the schedule does reach below the floor later
-    with pytest.raises(DivergenceError) as excinfo:
-        run(replace(base, guards=GuardSet(eps_h=floor)))
-    assert excinfo.value.trace == partial

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.controller import GainSet, GuardSet, SamplingTooSmallError, control_input
+from flexctl.controller import GainSet, SamplingTooSmallError, control_input
 from flexctl.discretizer import discretize
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_weights)
@@ -73,13 +73,12 @@ def test_v_prime_double_entry_oracle():
 
 
 def test_v_prime_closure_with_control_input():
-    guards = GuardSet()
     rng = np.random.default_rng(1)
     checked = 0
     while checked < 50:
         x = PlantState(*rng.uniform(-10, 10, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
-        out = control_input(x, DES, model, GAINS, guards, P, float(rng.uniform(-45, 45)))
+        out = control_input(x, DES, model, GAINS, P, float(rng.uniform(-45, 45)))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
@@ -89,7 +88,6 @@ def test_v_prime_closure_with_control_input():
 def test_one_law_across_entry_points():
     # check_conditions, v_prime and v1_margin evaluate the same terms to the
     # bit, and control_input zeroes exactly that V'
-    guards = GuardSet()
     rng = np.random.default_rng(5)
     closed = 0
     for _ in range(200):
@@ -101,7 +99,7 @@ def test_one_law_across_entry_points():
         s = check_conditions(x, DES, u, model, GAINS, k_E, P)
         assert s.V_prime == v_prime(x, DES, u, model, GAINS, k_E, P)
         assert s.v1_margin == v1_margin(x, DES, model, GAINS)
-        out = control_input(x, DES, model, GAINS, guards, P, u)
+        out = control_input(x, DES, model, GAINS, P, u)
         if out.saturated or out.guard_event != "none":
             continue
         closed += 1
@@ -270,6 +268,26 @@ def test_stability_map_matches_per_cell_v1_margin(case):
     grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=d)
     want = stability_map_reference(P, gains, h_vals, om_vals, cur, th, d)
     assert np.array_equal(grid.margins, want)
+
+
+@pytest.mark.parametrize("k_P", [565.0, 50.0, 5.0, 0.5])
+def test_stability_map_rows_are_quadratics_in_omega(k_P):
+    # with omega_d = 0 a row's V1 margin is omega (a_h omega + b_h), where
+    # a_h = (k_D/h)(1 + F_m[1]) and b_h = k_P (theta - theta_d)
+    # + (k_D/h)(F_m[0] I + F_m[2] theta); the map's signs follow it on the
+    # CLI's default axes, and a_h > 0 over the whole h axis
+    gains = replace(GAINS, k_P=k_P)
+    cur, th = 0.4, 0.1
+    h_vals, om_vals = np.linspace(0.01, 0.3, 50), np.linspace(0.0, 10.0, 50)
+    assert DES.omega_d == 0.0
+    grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=DES)
+    fm = np.array([discretize(P, float(h)).F[1] for h in h_vals])
+    kd_h = gains.k_D / h_vals
+    a = kd_h * (1.0 + fm[:, 1])
+    b = k_P * (th - DES.theta_d) + kd_h * (fm[:, 0] * cur + fm[:, 2] * th)
+    quadratic = om_vals[None, :] * (a[:, None] * om_vals[None, :] + b[:, None])
+    assert np.array_equal(grid.margins <= 0.0, quadratic <= 0.0)
+    assert a.min() > 0.0
 
 
 def write_map_csv_reference(grid, path):
