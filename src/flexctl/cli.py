@@ -24,10 +24,10 @@ import numpy as np
 from . import __version__
 from .controller import GAIN_MODES, GainSet
 from .matseries import DEFAULT_TOL, SeriesConvergenceError
-from .plant import DesiredState, MotorParams, PlantState
+from .plant import FIDELITIES, DesiredState, MotorParams, PlantState
 from .scheduler import ScheduleSpec
-from .simulator import (DivergenceError, SimConfig, pair_gain_modes, run, with_gain_mode,
-                        write_trace_csv)
+from .simulator import (ComparisonSummary, DivergenceError, SimConfig, pair_gain_modes, run,
+                        with_gain_mode, write_trace_csv)
 from .stability import stability_map
 from .checks import run_identity_checks
 
@@ -155,8 +155,7 @@ def _parse_seeds(text: str) -> list[int]:
 def _shared_flags(sub: argparse.ArgumentParser) -> None:
     """The flags of every command that resolves a SimConfig."""
     sub.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    sub.add_argument("--fidelity", dest="params.fidelity", choices=("corrected", "paper_literal"),
-                     default=None)
+    sub.add_argument("--fidelity", dest="params.fidelity", choices=FIDELITIES, default=None)
 
 
 def _simulation_flags(sub: argparse.ArgumentParser) -> None:
@@ -221,16 +220,15 @@ def cmd_compare(args) -> int:
             write_trace_csv(trace, path)
             outputs.append(str(path))
             traces.append(trace)
-        s = pair_gain_modes(seeded, *traces).summary
-        rows.append((seed, s.final_theta_err_dynamic, s.final_omega_err_dynamic,
-                     s.final_theta_err_constant, s.final_omega_err_constant, s.schedule_hash))
+        rows.append((seed, pair_gain_modes(seeded, *traces).summary))
 
+    # one column per ComparisonSummary field; str of a float is its round-trip repr
+    names = [f.name for f in fields(ComparisonSummary)]
     summary_path = outdir / "summary.csv"
     with summary_path.open("w", newline="") as f:
-        f.write("seed,final_theta_err_dynamic,final_omega_err_dynamic,"
-                "final_theta_err_constant,final_omega_err_constant,schedule_hash\n")
-        for seed, td, od, tc, oc, sh in rows:
-            f.write(f"{seed},{td!r},{od!r},{tc!r},{oc!r},{sh}\n")
+        f.write(",".join(["seed", *names]) + "\n")
+        for seed, s in rows:
+            f.write(",".join([str(seed), *(str(getattr(s, n)) for n in names)]) + "\n")
     outputs.append(str(summary_path))
     write_manifest(manifest_path, "compare", config_snapshot(cfg), seeds=seeds, outputs=outputs)
     return EXIT_OK

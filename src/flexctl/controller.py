@@ -4,10 +4,13 @@ per-period dynamic retuning of the energy gain k_E.
 The control law is the unique input that zeroes the discrete Lyapunov rate
 V' at the current sample; the guards handle its two singularities (period
 floor and near-zero stored energy) plus a numerically vanishing denominator.
+The law reads the motor from the period's DiscreteModel alone (Psi, A, B
+and the energy weights), so no motor parameters are passed beside it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .discretizer import DiscreteModel
 from .matseries import phi
-from .plant import DesiredState, MotorParams, PlantState, energy_weights
+from .plant import DesiredState, PlantState
 
 GAIN_MODES = ("dynamic", "constant")
 
@@ -44,11 +47,14 @@ class GainSet:
     gain_mode: str = "dynamic"
 
     def __post_init__(self):
-        for name in ("k_E_s", "k_P", "k_D", "u_sat", "h_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.K_c < 0:
-            raise ValueError(f"K_c must be >= 0, got {self.K_c}")
+        for name in ("k_E_s", "k_P", "k_D", "h_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.K_c < math.inf:
+            raise ValueError(f"K_c must be finite and >= 0, got {self.K_c}")
+        # an infinite u_sat is a run without saturation
+        if not self.u_sat > 0:
+            raise ValueError(f"u_sat must be > 0, got {self.u_sat}")
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"gain_mode must be one of {GAIN_MODES}, got {self.gain_mode!r}")
 
@@ -63,7 +69,8 @@ class ControlOutput:
 
 class _LawTerms(NamedTuple):
     """The pieces of the discrete Lyapunov rate V' at one (state, model) pair,
-    each formed once per step from the matrices the model carries."""
+    each formed once per step from the matrices and weights the model
+    carries."""
 
     omega: float     # the state's speed and angle
     theta: float
@@ -82,10 +89,10 @@ class _LawTerms(NamedTuple):
 
 
 def _law_terms(xv: np.ndarray, omega: float, theta: float, d: DesiredState,
-               model: DiscreteModel, gains: GainSet, weights: np.ndarray) -> _LawTerms:
+               model: DiscreteModel, gains: GainSet) -> _LawTerms:
     """The terms at the state vector xv, whose speed and angle are the floats
-    omega and theta; weights is energy_weights(p)."""
-    xd = xv * weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
+    omega and theta."""
+    xd = xv * model.weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
     fmx = float(model.F[1] @ xv)
     return _LawTerms(
         omega=omega,
@@ -100,9 +107,8 @@ def _law_terms(xv: np.ndarray, omega: float, theta: float, d: DesiredState,
     )
 
 
-def _state_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
-                 p: MotorParams) -> _LawTerms:
-    return _law_terms(x.as_array(), x.omega, x.theta, d, model, gains, energy_weights(p))
+def _state_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet) -> _LawTerms:
+    return _law_terms(x.as_array(), x.omega, x.theta, d, model, gains)
 
 
 def _check_period(h: float) -> None:
@@ -133,10 +139,11 @@ def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
 
 
 def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
-                  p: MotorParams, u_prev: float) -> ControlOutput:
+                  u_prev: float) -> ControlOutput:
     """Control voltage for the current sample, always within +-u_sat.
 
-    Every term at h_k uses the model's Psi, A and B, and the retune builds
+    The model is the only source of the motor: every term at h_k uses its
+    Psi, A, B and energy weights, and the retune builds
     phi(A h_s) for the standard period. ``k_E_used`` is the retuned gain
     (k_E_s in constant mode). A period below EPS_H raises
     SamplingTooSmallError.
@@ -147,7 +154,7 @@ def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: G
       gain_fallback     retune ratio undefined, standard gain used instead
     """
     _check_period(model.h)
-    return _control_from_terms(_state_terms(x, d, model, gains, p), model, gains, u_prev,
+    return _control_from_terms(_state_terms(x, d, model, gains), model, gains, u_prev,
                                phi(model.A * gains.h_s))
 
 

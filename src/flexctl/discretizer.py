@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matseries import DEFAULT_TOL, phi
-from .plant import MotorParams, continuous_matrices
+from .plant import MotorParams, continuous_matrices, energy_weights
 
 
 @dataclass(frozen=True)
 class DiscreteModel:
     """One-step model x[k+1] = F x[k] + G u[k] for period h > 0, carried as
     (F, G, Psi, h) with Psi = phi(A h), the series value F and G come from,
-    together with the continuous pair (A, B) the model was built from.
+    together with the continuous pair (A, B) and the diagonal ``weights`` of
+    the energy weight D = diag(L, J, K_L) of the motor it was built from.
 
     Build it with ``discretize`` or ``discretize_periods``. The sampling
     floor EPS_H is the controller's, not the model's.
@@ -35,11 +36,12 @@ class DiscreteModel:
     psi: np.ndarray
     A: np.ndarray
     B: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"h must be > 0, got {self.h}")
-        for name in ("F", "G", "psi", "A", "B"):
+        for name in ("F", "G", "psi", "A", "B", "weights"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
@@ -50,6 +52,7 @@ def discretize_periods(p: MotorParams, periods, tol: float = DEFAULT_TOL) -> lis
     bits that ``discretize(p, periods[i])`` alone would give."""
     periods = list(periods)
     A, B = continuous_matrices(p)
+    weights = energy_weights(p)
     hs = np.array(periods, dtype=float)[:, None, None]
     # phi reports an infinite A h, and DiscreteModel an infinite F or G
     with np.errstate(over="ignore"):
@@ -57,7 +60,7 @@ def discretize_periods(p: MotorParams, periods, tol: float = DEFAULT_TOL) -> lis
         ph = phi(Ah, tol)
         F = np.eye(A.shape[0]) + Ah @ ph
         G = hs * ph @ B
-    return [DiscreteModel(F=F[i], G=G[i], h=h, psi=ph[i], A=A, B=B)
+    return [DiscreteModel(F=F[i], G=G[i], h=h, psi=ph[i], A=A, B=B, weights=weights)
             for i, h in enumerate(periods)]
 
 

@@ -38,8 +38,8 @@ class MotorParams:
 
     def __post_init__(self):
         for name in ("R", "L", "K_b", "K_m", "J", "B_f", "K_L"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.fidelity not in FIDELITIES:
             raise ValueError(f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
 

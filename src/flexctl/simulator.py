@@ -29,7 +29,7 @@ import numpy as np
 
 from .controller import GainSet, _control_from_terms, _law_terms
 from .discretizer import discretize_periods
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices, energy_weights
+from .plant import DesiredState, MotorParams, PlantState, continuous_matrices
 from .scheduler import Scheduler, ScheduleSpec
 from .stability import _conditions_from_terms
 
@@ -114,7 +114,6 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     psi_s = built[-1].psi
 
     d, gains = cfg.desired, cfg.gains
-    weights = energy_weights(cfg.params)
     x0 = cfg.initial
     xv = x0.as_array()
     I, omega, theta = x0.current_I, x0.omega, x0.theta
@@ -123,7 +122,7 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     records: list[TraceRecord] = []
     for k, h in enumerate(periods):
         model = models[h]
-        terms = _law_terms(xv, omega, theta, d, model, gains, weights)
+        terms = _law_terms(xv, omega, theta, d, model, gains)
         out = _control_from_terms(terms, model, gains, u_prev, psi_s)
         sample = _conditions_from_terms(terms, d, out.u, model, gains, out.k_E_used)
         records.append(TraceRecord(

@@ -6,6 +6,10 @@ Sign conventions: the decomposition is stated with A* = -A and F*_m = -F_m;
 the public API works with A and F_m only and applies the stars internally.
 V2 is a componentwise vector inequality; all three components are required
 and the worst-component margin is reported so weaker readings stay possible.
+
+The per-sample diagnostics (``v_prime``, ``check_conditions``) read the motor
+from the period's DiscreteModel alone; only ``stability_map``, which builds
+its models, takes the motor parameters.
 """
 
 from __future__ import annotations
@@ -74,14 +78,14 @@ def _lyapunov(omega: float, theta: float, d: DesiredState, E: float, gains: Gain
 
 
 def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
-            gains: GainSet, k_E_used: float, p: MotorParams) -> float:
+            gains: GainSet, k_E_used: float) -> float:
     """Discrete forward Lyapunov rate.
 
     V' = k_E E_k [x^T D phi(A h)(A x + B u)]
          + (k_D/h)(omega - omega_d)(F_m x - omega)
          + k_P (theta - theta_d) omega
     """
-    terms = _state_terms(x, d, model, gains, p)
+    terms = _state_terms(x, d, model, gains)
     return terms.rate(k_E_used, terms.ax + model.B * u)
 
 
@@ -100,9 +104,10 @@ def v1_margin(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainS
 
 
 def check_conditions(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
-                     gains: GainSet, k_E_used: float, p: MotorParams) -> LyapunovSample:
-    """Evaluate every stability diagnostic at one sample."""
-    return _conditions_from_terms(_state_terms(x, d, model, gains, p), d, u, model, gains, k_E_used)
+                     gains: GainSet, k_E_used: float) -> LyapunovSample:
+    """Evaluate every stability diagnostic at one sample, with the motor
+    (A, B, Psi and the energy weights) taken from the model."""
+    return _conditions_from_terms(_state_terms(x, d, model, gains), d, u, model, gains, k_E_used)
 
 
 def _conditions_from_terms(terms: _LawTerms, d: DesiredState, u: float, model: DiscreteModel,

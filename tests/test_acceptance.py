@@ -118,11 +118,11 @@ def test_criterion_03_controller_closure():
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
         model = discretize(P, h)
-        out = control_input(x, DES, model, GAINS, P, u_prev)
+        out = control_input(x, DES, model, GAINS, u_prev)
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        vp = v_prime(x, DES, out.u, model, GAINS, out.k_E_used, P)
+        vp = v_prime(x, DES, out.u, model, GAINS, out.k_E_used)
         xv = x.as_array()
         t1 = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
         t2 = GAINS.k_D / h * (x.omega - DES.omega_d) * (float(rotational_row(model) @ xv) - x.omega)

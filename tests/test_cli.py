@@ -75,6 +75,17 @@ def test_unrepresentable_e_Ah_is_usage_error(tmp_path, args):
     assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("key", ["params.L", "params.J", "gains.k_P"])
+def test_infinite_motor_constant_or_gain_is_usage_error(tmp_path, key):
+    (tmp_path / "inf.cfg").write_text(f"{key} = inf\n")
+    res = flexctl(["run", "--config", "inf.cfg", "--out", "out.csv"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert "must be finite" in res.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_run_paper_literal_divergence_exit(tmp_path):
     res = flexctl(["run", "--gain-mode", "constant", "--fidelity", "paper_literal",
                    "--duration", "30", "--out", "div.csv"], tmp_path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from flexctl.discretizer import discretize, rotational_row
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_rate, energy_weights)
-from flexctl.stability import v_prime
+from flexctl.stability import check_conditions, lyapunov, v_prime
 
 P = MotorParams()
 GAINS = GainSet()
@@ -15,7 +17,7 @@ X0 = PlantState(0.4, 5.0, 0.1)
 
 
 def retuned_gain(x, u_prev, h, gains=GAINS):
-    return control_input(x, DES, discretize(P, h), gains, P, u_prev).k_E_used
+    return control_input(x, DES, discretize(P, h), gains, u_prev).k_E_used
 
 
 def test_dynamic_gain_at_standard_period():
@@ -46,7 +48,7 @@ def test_dynamic_gain_clamped_from_below():
 def test_rest_state_at_origin_gets_energy_floor():
     model = discretize(P, 0.11)
     out = control_input(PlantState(0, 0, 0), DesiredState(theta_d=0.0), model,
-                        GAINS, P, u_prev=0.0)
+                        GAINS, u_prev=0.0)
     assert out.guard_event == "energy_floor"
     assert out.u == 0.0
     assert not out.saturated
@@ -61,11 +63,11 @@ def test_closure_identity_on_random_states():
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
         model = discretize(P, h)
-        out = control_input(x, DES, model, GAINS, P, u_prev)
+        out = control_input(x, DES, model, GAINS, u_prev)
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        vp = v_prime(x, DES, out.u, model, GAINS, out.k_E_used, P)
+        vp = v_prime(x, DES, out.u, model, GAINS, out.k_E_used)
         xv = x.as_array()
         f_m = rotational_row(model)
         t1 = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
@@ -74,12 +76,39 @@ def test_closure_identity_on_random_states():
         assert abs(vp) <= 1e-7 * (1.0 + abs(t1) + abs(t2) + abs(t3))
 
 
+def test_law_reads_the_motor_from_its_model():
+    # a model of a second motor: V and the zeroed V' are that motor's, with
+    # no motor parameters passed beside the model
+    p2 = MotorParams(L=2e-3, J=0.01, K_L=0.8)
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 50:
+        x = PlantState(*rng.uniform(-10, 10, size=3))
+        h = float(rng.uniform(0.05, 0.2))
+        model = discretize(p2, h)
+        out = control_input(x, DES, model, GAINS, float(rng.uniform(-45, 45)))
+        if out.saturated or out.guard_event != "none":
+            continue
+        checked += 1
+        sample = check_conditions(x, DES, out.u, model, GAINS, out.k_E_used)
+        assert sample.V == lyapunov(x, DES, energy(x, p2), GAINS, out.k_E_used)
+        assert sample.V != lyapunov(x, DES, energy(x, P), GAINS, out.k_E_used)
+
+        fmx = float(rotational_row(model) @ x.as_array())
+        t_DP = (GAINS.k_D / h * (x.omega - DES.omega_d) * (fmx - x.omega)
+                + GAINS.k_P * (x.theta - DES.theta_d) * x.omega)
+        t_E = out.k_E_used * energy(x, p2) * energy_rate(x, out.u, h, p2)
+        assert abs(t_E + t_DP) <= 1e-7 * (1.0 + abs(t_E) + abs(t_DP))
+        t_E_ref = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
+        assert abs(t_E_ref + t_DP) > 1e-3 * (1.0 + abs(t_E_ref) + abs(t_DP))
+
+
 def test_large_error_state_saturates():
     # theta error of 10 rad with the shaft receding at 50 rad/s; the reference
     # initial state also drives u_raw far beyond the 45 V limit
     model = discretize(P, 0.11)
     for x in (PlantState(0.0, -50.0, DES.theta_d + 10.0), X0):
-        out = control_input(x, DES, model, GAINS, P, u_prev=0.0)
+        out = control_input(x, DES, model, GAINS, u_prev=0.0)
         assert out.saturated
         assert abs(out.u) == GAINS.u_sat
 
@@ -89,14 +118,14 @@ def test_output_always_within_saturation():
     for _ in range(200):
         x = PlantState(*rng.uniform(-50, 50, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
-        out = control_input(x, DES, model, GAINS, P, float(rng.uniform(-100, 100)))
+        out = control_input(x, DES, model, GAINS, float(rng.uniform(-100, 100)))
         assert abs(out.u) <= GAINS.u_sat
 
 
 def test_sampling_floor_raises():
     model = discretize(P, 5e-5)
     with pytest.raises(SamplingTooSmallError):
-        control_input(X0, DES, model, GAINS, P, 0.0)
+        control_input(X0, DES, model, GAINS, 0.0)
 
 
 def test_denominator_floor_holds_previous_input():
@@ -105,11 +134,11 @@ def test_denominator_floor_holds_previous_input():
     A, B = continuous_matrices(P)
     v = np.diag(energy_weights(P)) @ phi(A * h) @ B
     x = PlantState(v[1], -v[0], 0.0)  # x . (D phi B) = 0 exactly
-    out = control_input(x, DES, model, GAINS, P, u_prev=7.5)
+    out = control_input(x, DES, model, GAINS, u_prev=7.5)
     assert out.guard_event == "denominator_floor"
     assert out.u == 7.5
 
-    out_big = control_input(x, DES, model, GAINS, P, u_prev=100.0)
+    out_big = control_input(x, DES, model, GAINS, u_prev=100.0)
     assert out_big.u == GAINS.u_sat
     assert out_big.saturated
 
@@ -121,15 +150,15 @@ def test_gain_fallback_event_surfaces():
     xv = X0.as_array()
     w = xv @ np.diag(energy_weights(P)) @ phi(A * h)
     hold = -float(w @ (A @ xv)) / float(w @ B)  # makes E'(h_k) vanish
-    out = control_input(X0, DES, model, GAINS, P, u_prev=hold)
+    out = control_input(X0, DES, model, GAINS, u_prev=hold)
     assert out.guard_event == "gain_fallback"
     assert out.k_E_used == GAINS.k_E_s
 
 
 def test_determinism():
     model = discretize(P, 0.13)
-    a = control_input(X0, DES, model, GAINS, P, 1.25)
-    b = control_input(X0, DES, model, GAINS, P, 1.25)
+    a = control_input(X0, DES, model, GAINS, 1.25)
+    b = control_input(X0, DES, model, GAINS, 1.25)
     assert a == b
     assert isinstance(a, ControlOutput)
 
@@ -139,3 +168,19 @@ def test_gain_and_guard_validation():
         GainSet(k_P=-1.0)
     with pytest.raises(ValueError):
         GainSet(gain_mode="sometimes")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["k_E_s", "k_P", "k_D", "K_c", "h_s"])
+def test_gains_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GainSet(**{name: value})
+
+
+def test_infinite_u_sat_is_an_unsaturated_law():
+    gains = GainSet(u_sat=math.inf)
+    out = control_input(X0, DES, discretize(P, 0.11), gains, 0.0)
+    assert not out.saturated
+    assert abs(out.u) > GAINS.u_sat  # the reference state saturates at 45 V
+    with pytest.raises(ValueError):
+        GainSet(u_sat=math.nan)

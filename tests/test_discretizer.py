@@ -65,15 +65,18 @@ def test_rotational_row_predicts_omega():
 
 def test_model_validation():
     from flexctl.discretizer import DiscreteModel
-    fields = dict(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3), A=np.eye(3), B=np.zeros(3))
+    fields = dict(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3), A=np.eye(3), B=np.zeros(3),
+                  weights=np.ones(3))
     DiscreteModel(**fields)
     with pytest.raises(ValueError):
         DiscreteModel(**{**fields, "h": 0.0})
-    for name in ("F", "G", "psi", "A", "B"):
+    for name in ("F", "G", "psi", "A", "B", "weights"):
         with pytest.raises(ValueError):
             DiscreteModel(**{**fields, name: np.full_like(fields[name], np.nan)})
-    with pytest.raises(TypeError):  # Psi and the continuous pair are required
+    with pytest.raises(TypeError):  # Psi, the continuous pair and the weights are required
         DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3))
+    with pytest.raises(TypeError):
+        DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3), A=np.eye(3), B=np.zeros(3))
 
 
 def test_model_carries_its_own_continuous_pair():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,13 @@ def test_params_validation():
         MotorParams(R=-1.0)
     with pytest.raises(ValueError):
         MotorParams(fidelity="wrong")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["R", "L", "K_b", "K_m", "J", "B_f", "K_L"])
+def test_params_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        MotorParams(**{name: value})
 
 
 def test_energy_weights():

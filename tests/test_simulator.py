@@ -289,8 +289,8 @@ def replay(cfg):
         xv = state.as_array()
         assert energy_rate(state, u_prev, model.h, p) == float(
             xv * energy_weights(p) @ model.psi @ (model.A @ xv + model.B * u_prev))
-        out = control_input(state, cfg.desired, model, cfg.gains, p, u_prev)
-        sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used, p)
+        out = control_input(state, cfg.desired, model, cfg.gains, u_prev)
+        sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=state.current_I, omega=state.omega, theta=state.theta,
             u=out.u, E=energy(state, p), k_E=out.k_E_used, V=sample.V, V_prime=sample.V_prime,

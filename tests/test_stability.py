@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from flexctl.controller import GainSet, SamplingTooSmallError, control_input
-from flexctl.discretizer import discretize
+from flexctl.discretizer import discretize, discretize_periods
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_weights)
 from flexctl.scheduler import ScheduleSpec
@@ -60,14 +60,14 @@ def test_lyapunov_nonnegative():
 
 def test_v_prime_zero_case():
     model = discretize(P, 0.11)
-    got = v_prime(PlantState(0, 0, 0), DesiredState(theta_d=0.0), 0.0, model, GAINS, 725.0, P)
+    got = v_prime(PlantState(0, 0, 0), DesiredState(theta_d=0.0), 0.0, model, GAINS, 725.0)
     assert got == 0.0
 
 
 def test_v_prime_double_entry_oracle():
     model = discretize(P, 0.11)
     x = PlantState(0.4, 5.0, 0.1)
-    got = v_prime(x, DES, 0.0, model, GAINS, 1335.0, P)
+    got = v_prime(x, DES, 0.0, model, GAINS, 1335.0)
     want = v_prime_oracle(x, DES, 0.0, 0.11, GAINS, 1335.0, P)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -78,11 +78,11 @@ def test_v_prime_closure_with_control_input():
     while checked < 50:
         x = PlantState(*rng.uniform(-10, 10, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
-        out = control_input(x, DES, model, GAINS, P, float(rng.uniform(-45, 45)))
+        out = control_input(x, DES, model, GAINS, float(rng.uniform(-45, 45)))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        assert abs(v_prime(x, DES, out.u, model, GAINS, out.k_E_used, P)) < 1e-6
+        assert abs(v_prime(x, DES, out.u, model, GAINS, out.k_E_used)) < 1e-6
 
 
 def test_one_law_across_entry_points():
@@ -96,15 +96,15 @@ def test_one_law_across_entry_points():
         u = float(rng.uniform(-45, 45))
         k_E = float(rng.uniform(GAINS.K_c, 2000.0))
         model = discretize(P, h)
-        s = check_conditions(x, DES, u, model, GAINS, k_E, P)
-        assert s.V_prime == v_prime(x, DES, u, model, GAINS, k_E, P)
+        s = check_conditions(x, DES, u, model, GAINS, k_E)
+        assert s.V_prime == v_prime(x, DES, u, model, GAINS, k_E)
         assert s.v1_margin == v1_margin(x, DES, model, GAINS)
-        out = control_input(x, DES, model, GAINS, P, u)
+        out = control_input(x, DES, model, GAINS, u)
         if out.saturated or out.guard_event != "none":
             continue
         closed += 1
-        vp = check_conditions(x, DES, out.u, model, GAINS, out.k_E_used, P).V_prime
-        assert vp == v_prime(x, DES, out.u, model, GAINS, out.k_E_used, P)
+        vp = check_conditions(x, DES, out.u, model, GAINS, out.k_E_used).V_prime
+        assert vp == v_prime(x, DES, out.u, model, GAINS, out.k_E_used)
         assert abs(vp) < 1e-6
     assert closed >= 100
 
@@ -120,14 +120,14 @@ def test_v_prime_approximates_forward_difference():
         x1 = PlantState.from_array(m.F @ x.as_array() + m.G * u)
         V0 = lyapunov(x, DES, energy(x, P), GAINS, k_E)
         V1 = lyapunov(x1, DES, energy(x1, P), GAINS, k_E)
-        residuals.append(abs(v_prime(x, DES, u, m, GAINS, k_E, P) - (V1 - V0) / h))
+        residuals.append(abs(v_prime(x, DES, u, m, GAINS, k_E) - (V1 - V0) / h))
     assert residuals[0] > residuals[1] > residuals[2]
 
 
 def test_check_conditions_rest_at_desired():
     model = discretize(P, 0.11)
     d = DesiredState(theta_d=0.0)
-    s = check_conditions(PlantState(0, 0, 0), d, 0.0, model, GAINS, 725.0, P)
+    s = check_conditions(PlantState(0, 0, 0), d, 0.0, model, GAINS, 725.0)
     assert s.V == 0.0
     assert s.V_prime == 0.0
     assert s.condition_main and s.V1_ok and s.V2_ok
@@ -138,7 +138,7 @@ def test_check_conditions_rest_at_desired():
 
 def test_check_conditions_sample_fields():
     model = discretize(P, 0.11)
-    s = check_conditions(PlantState(0.4, 5.0, 0.1), DES, 3.0, model, GAINS, 1335.0, P)
+    s = check_conditions(PlantState(0.4, 5.0, 0.1), DES, 3.0, model, GAINS, 1335.0)
     assert s.V >= 0.0
     assert s.V1_ok == (s.v1_margin <= 0.0)
     # V2 and the high-boundary test are opposite inequalities on B u + A x
@@ -154,7 +154,7 @@ def test_v1_and_v2_do_not_imply_a_decreasing_v():
     # is componentwise >= 0; here w has negative I and omega entries
     x = PlantState(-2.738, -29.12, 2.257)
     h, u = 0.0525, -33.71
-    s = check_conditions(x, DES, u, discretize(P, h), GAINS, GAINS.k_E_s, P)
+    s = check_conditions(x, DES, u, discretize(P, h), GAINS, GAINS.k_E_s)
     assert s.V1_ok and s.V2_ok
     assert not s.condition_main
     assert s.V_prime == pytest.approx(22_730.6, rel=1e-5)
@@ -184,7 +184,7 @@ def test_sign_flags_equal_the_componentwise_reductions():
     for x, u in sign_samples():
         with np.errstate(invalid="ignore"):  # 0 * inf in B u
             closed = A @ x.as_array() + B * u
-            s = check_conditions(x, DES, u, model, GAINS, 725.0, P)
+            s = check_conditions(x, DES, u, model, GAINS, 725.0)
         zero_components += int(np.sum(closed == 0.0))
         assert s.V2_ok == bool((closed <= 0.0).all()), (x, u)
         assert s.boundary_high_ok == bool((-closed <= 0.0).all()), (x, u)
@@ -220,6 +220,60 @@ def test_v1_census_on_nominal_run():
     trace = run(SimConfig(schedule=ScheduleSpec(seed=1)))
     transient = [r.V1_ok for r in trace if abs(r.omega) >= OMEGA_FLOOR]
     assert transient == [True, False, False] + [True, False] * 10
+
+
+# the adversary's menu: 7 periods spanning the default schedule range
+ADVERSARY_MODELS = discretize_periods(P, np.linspace(0.05, 0.2, 7).tolist())
+
+
+def adversarial_run(gains, objective, duration=10.0):
+    """The closed loop under a greedy switching adversary built from public
+    calls: every step it tries each period on the menu and keeps the one
+    whose next state has the largest V (at this step's gain) or the largest
+    max|x|. Returns the visited states, their times and the periods used."""
+    x, u_prev, t = SimConfig().initial, 0.0, 0.0
+    states, times, periods = [x], [t], []
+    while t < duration:
+        best = None
+        for model in ADVERSARY_MODELS:
+            out = control_input(x, DES, model, gains, u_prev)
+            nxt = PlantState.from_array(model.F @ x.as_array() + model.G * out.u)
+            if objective == "V":
+                score = lyapunov(nxt, DES, energy(nxt, P), gains, out.k_E_used)
+            else:
+                score = float(np.max(np.abs(nxt.as_array())))
+            if best is None or score > best[0]:
+                best = (score, model, out, nxt)
+        _, model, out, x = best
+        u_prev = out.u
+        t += model.h
+        states.append(x)
+        times.append(t)
+        periods.append(model.h)
+    return states, times, periods
+
+
+@pytest.mark.parametrize("objective", ["V", "max_abs_x"])
+@pytest.mark.parametrize("gain_mode", ["dynamic", "constant"])
+def test_adversarial_switching_stays_bounded_and_parks(gain_mode, objective):
+    # the paper's claim that the periods may switch arbitrarily without
+    # destabilizing the loop, against a worst-case greedy schedule. Measured
+    # over both modes and objectives (10 s, 53-64 steps, 9-39 switches):
+    # max|x| 55.35-68.14, the loop parks by t = 2.5 s, and from t = 5 s on
+    # |omega| <= 9.1e-13 with theta moving by <= 2.7e-13 rad, at 9.13-14.12 rad,
+    # far from theta_d = 2 and from the minimizer 1.588 rad of V at rest
+    states, times, periods = adversarial_run(GainSet(gain_mode=gain_mode), objective)
+    assert sum(a != b for a, b in zip(periods, periods[1:])) >= 5   # it does switch
+    # bounded: 10% headroom over 68.14
+    assert max(float(np.max(np.abs(x.as_array()))) for x in states) <= 75.0
+    late = [x for x, t in zip(states, times) if t >= 5.0]
+    assert len(late) >= 20
+    # parked: 11x headroom on |omega|, 37x on the drift of theta
+    assert max(abs(x.omega) for x in late) <= 1e-11
+    thetas = [x.theta for x in late]
+    assert max(thetas) - min(thetas) <= 1e-11
+    # where: 0.6 rad of headroom below 9.13 and 0.9 rad above 14.12
+    assert 8.5 <= thetas[-1] <= 15.0
 
 
 def test_stability_map_single_cell_at_rest():
