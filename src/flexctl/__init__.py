@@ -2,8 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .controller import ControlOutput, GainSet, SamplingTooSmallError, control_input
-from .discretizer import DiscreteModel, discretize, discretize_periods, rotational_row
+from .controller import (ControlOutput, GainSet, LawTerms, SamplingTooSmallError, control_input,
+                         law_terms)
+from .discretizer import DiscreteModel, discretize, discretize_periods
 from .matseries import SeriesConvergenceError, expm_via_phi, phi
 from .plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
                     energy_rate, energy_weights)
@@ -12,8 +13,8 @@ from .simulator import DivergenceError, SimConfig, TraceRecord, compare_gain_mod
 from .stability import LyapunovSample, StabilityGrid, check_conditions, lyapunov, stability_map, v_prime
 
 __all__ = [
-    "ControlOutput", "GainSet", "SamplingTooSmallError", "control_input",
-    "DiscreteModel", "discretize", "discretize_periods", "rotational_row",
+    "ControlOutput", "GainSet", "LawTerms", "SamplingTooSmallError", "control_input", "law_terms",
+    "DiscreteModel", "discretize", "discretize_periods",
     "SeriesConvergenceError", "expm_via_phi", "phi",
     "DesiredState", "MotorParams", "PlantState", "continuous_matrices",
     "energy", "energy_rate", "energy_weights",

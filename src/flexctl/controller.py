@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discretizer import DiscreteModel
-from .matseries import phi
-from .plant import DesiredState, PlantState
+from .plant import DesiredState
 
 GAIN_MODES = ("dynamic", "constant")
 
@@ -67,10 +66,11 @@ class ControlOutput:
     guard_event: str
 
 
-class _LawTerms(NamedTuple):
+class LawTerms(NamedTuple):
     """The pieces of the discrete Lyapunov rate V' at one (state, model) pair,
-    each formed once per step from the matrices and weights the model
-    carries."""
+    formed once per sample by ``law_terms`` from the matrices and weights the
+    model carries; the control input and every diagnostic of the sample are
+    read from them."""
 
     omega: float     # the state's speed and angle
     theta: float
@@ -88,18 +88,18 @@ class _LawTerms(NamedTuple):
         return k_E * self.E * float(self.w @ v) + self.t_D + self.t_P
 
 
-def _law_terms(xv: np.ndarray, omega: float, theta: float, d: DesiredState,
-               model: DiscreteModel, gains: GainSet) -> _LawTerms:
-    """The terms at the state vector xv, whose speed and angle are the floats
-    omega and theta."""
-    xd = xv * model.weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
-    fmx = float(model.F[1] @ xv)
-    return _LawTerms(
+def law_terms(x: np.ndarray, d: DesiredState, model: DiscreteModel, gains: GainSet) -> LawTerms:
+    """The terms at the state vector x = [I, omega, theta]
+    (``PlantState.as_array()``)."""
+    _, omega, theta = x.tolist()
+    xd = x * model.weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
+    fmx = float(model.F[1] @ x)
+    return LawTerms(
         omega=omega,
         theta=theta,
         xd=xd,
-        E=0.5 * float(xd @ xv),
-        ax=model.A @ xv,
+        E=0.5 * float(xd @ x),
+        ax=model.A @ x,
         w=xd @ model.psi,
         fmx=fmx,
         t_D=gains.k_D / model.h * (omega - d.omega_d) * (fmx - omega),
@@ -107,16 +107,13 @@ def _law_terms(xv: np.ndarray, omega: float, theta: float, d: DesiredState,
     )
 
 
-def _state_terms(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet) -> _LawTerms:
-    return _law_terms(x.as_array(), x.omega, x.theta, d, model, gains)
-
-
-def _check_period(h: float) -> None:
+def check_period(h: float) -> None:
+    """Raise SamplingTooSmallError for a period below the floor EPS_H."""
     if h < EPS_H:
         raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {EPS_H}")
 
 
-def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
+def _gain_with_event(terms: LawTerms, u_prev: float, model: DiscreteModel,
                      psi_s: np.ndarray, gains: GainSet) -> tuple[float, bool]:
     """Per-period energy gain k_E(h_k) = k_E_s * E'(h_s)/E'(h_k) + K_c, plus a
     flag for the |E'(h_k)| floor fallback.
@@ -138,30 +135,22 @@ def _gain_with_event(terms: _LawTerms, u_prev: float, model: DiscreteModel,
     return float(min(max(raw, gains.K_c), K_E_MAX)), False
 
 
-def control_input(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet,
-                  u_prev: float) -> ControlOutput:
-    """Control voltage for the current sample, always within +-u_sat.
+def control_input(terms: LawTerms, model: DiscreteModel, gains: GainSet, u_prev: float,
+                  psi_s: np.ndarray) -> ControlOutput:
+    """Control voltage for the sample whose ``law_terms`` are given, always
+    within +-u_sat.
 
     The model is the only source of the motor: every term at h_k uses its
-    Psi, A, B and energy weights, and the retune builds
-    phi(A h_s) for the standard period. ``k_E_used`` is the retuned gain
-    (k_E_s in constant mode). A period below EPS_H raises
-    SamplingTooSmallError.
+    Psi, A, B and energy weights, and the retune takes psi_s = phi(A h_s)
+    for the standard period. ``k_E_used`` is the retuned gain (k_E_s in
+    constant mode). A period below EPS_H raises SamplingTooSmallError.
 
     Guard events (one is reported, in this precedence):
       energy_floor      E_k <= EPS_C, system is essentially at rest -> u = 0
       denominator_floor |den| < EPS_DEN -> hold the previous input
       gain_fallback     retune ratio undefined, standard gain used instead
     """
-    _check_period(model.h)
-    return _control_from_terms(_state_terms(x, d, model, gains), model, gains, u_prev,
-                               phi(model.A * gains.h_s))
-
-
-def _control_from_terms(terms: _LawTerms, model: DiscreteModel, gains: GainSet,
-                        u_prev: float, psi_s: np.ndarray) -> ControlOutput:
-    """``control_input`` from terms already formed, with psi_s = phi(A h_s);
-    the period is not checked here."""
+    check_period(model.h)
     k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains)
     if terms.E <= EPS_C:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")

@@ -68,7 +68,3 @@ def discretize(p: MotorParams, h: float) -> DiscreteModel:
     """Discrete motor model for sampling period h."""
     return discretize_periods(p, [h])[0]
 
-
-def rotational_row(m: DiscreteModel) -> np.ndarray:
-    """The omega row of F: F_m x[k] is the input-free one-step omega predictor."""
-    return np.array(m.F[1])

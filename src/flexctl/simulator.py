@@ -1,10 +1,8 @@
 """Closed-loop simulation: the period schedule drawn and discretized up
-front, then per step the terms of the Lyapunov rate formed once, the gain
-retune, control input and diagnostics taken from those terms, the exact ZOH
-state update and a divergence check on the new state. The public
-``control_input``, ``check_conditions`` and ``energy`` give the same bits
-from a ``PlantState``; the loop carries the state as a vector and its three
-components as floats instead.
+front, then per step the terms of the Lyapunov rate formed once
+(``law_terms``), the gain retune and control input (``control_input``) and
+the diagnostics (``check_conditions``) taken from those terms, the exact ZOH
+state update and a divergence check on the new state.
 
 The discrete update x[k+1] = F x[k] + G u[k] is the exact zero-order-hold
 solution, so no ODE solver is involved in a run. ``rk4_crosscheck`` is a
@@ -27,13 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, _control_from_terms, _law_terms
+from .controller import GainSet, control_input, law_terms
 from .discretizer import discretize_periods
 from .plant import DesiredState, MotorParams, PlantState, continuous_matrices
 from .scheduler import Scheduler, ScheduleSpec
-from .stability import _conditions_from_terms
+from .stability import check_conditions
 
-# any state component beyond this magnitude aborts the run
+# any state component beyond this magnitude aborts the run, and no initial or
+# desired state may start beyond it
 DIVERGENCE_LIMIT = 1e9
 
 TRACE_COLUMNS = ("k", "t", "h_k", "I", "omega", "theta", "u", "E", "k_E",
@@ -61,6 +60,11 @@ class SimConfig:
         # an infinite horizon would draw periods without end
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be finite and > 0, got {self.duration}")
+        for group in ("initial", "desired"):
+            for name, value in vars(getattr(self, group)).items():
+                if not abs(value) <= DIVERGENCE_LIMIT:
+                    raise ValueError(f"{group}.{name} must be within +-{DIVERGENCE_LIMIT:.0e}"
+                                     f" (the divergence limit), got {value}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     The period sequence does not depend on the state, so it is drawn in
     full first, with the clock accumulating h as the steps will. Each
     distinct period, plus h_s for phi(A h_s), is then discretized once,
-    all in one stacked series evaluation, before the first step. No step
-    checks the sampling floor EPS_H: every period lies in [h_min, h_max],
-    ScheduleSpec holds h_min >= EPS_H, and Generator.uniform(low, high)
-    never returns less than low. Input threading is strictly sequential: u_prev feeds the gain retune
-    of the next step and starts at 0 V.
-
-    Each step forms the law terms once and takes the control input and the
-    diagnostics from them, with the bits ``control_input`` and
-    ``check_conditions`` give.
+    all in one stacked series evaluation, before the first step. Input
+    threading is strictly sequential: u_prev feeds the gain retune of the
+    next step and starts at 0 V.
     """
     sched = Scheduler(cfg.schedule)
     periods = []
@@ -122,9 +120,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     records: list[TraceRecord] = []
     for k, h in enumerate(periods):
         model = models[h]
-        terms = _law_terms(xv, omega, theta, d, model, gains)
-        out = _control_from_terms(terms, model, gains, u_prev, psi_s)
-        sample = _conditions_from_terms(terms, d, out.u, model, gains, out.k_E_used)
+        terms = law_terms(xv, d, model, gains)
+        out = control_input(terms, model, gains, u_prev, psi_s)
+        sample = check_conditions(terms, d, out.u, model, gains, out.k_E_used)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=I, omega=omega, theta=theta,
             u=out.u, E=terms.E, k_E=out.k_E_used,

@@ -7,9 +7,10 @@ the public API works with A and F_m only and applies the stars internally.
 V2 is a componentwise vector inequality; all three components are required
 and the worst-component margin is reported so weaker readings stay possible.
 
-The per-sample diagnostics (``v_prime``, ``check_conditions``) read the motor
-from the period's DiscreteModel alone; only ``stability_map``, which builds
-its models, takes the motor parameters.
+The per-sample diagnostics (``v_prime``, ``check_conditions``) take the
+sample's ``controller.law_terms``, the terms the control input is solved
+from, and read the motor from the period's DiscreteModel alone; only
+``stability_map``, which builds its models, takes the motor parameters.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import GainSet, _LawTerms, _check_period, _state_terms
+from .controller import GainSet, LawTerms, check_period
 from .discretizer import DiscreteModel, discretize_periods
-from .plant import DesiredState, MotorParams, PlantState
+from .plant import DesiredState, MotorParams
 
 
 @dataclass(frozen=True)
@@ -65,63 +66,46 @@ class StabilityGrid:
                 f.writelines("%s,%s,%r\n" % (a1, a2, m) for a2, m in zip(axis2, row))
 
 
-def lyapunov(x: PlantState, d: DesiredState, E: float, gains: GainSet, k_E_used: float) -> float:
+def lyapunov(omega: float, theta: float, d: DesiredState, E: float, gains: GainSet,
+             k_E_used: float) -> float:
     """V = 0.5 k_E E^2 + 0.5 k_D (omega - omega_d)^2 + 0.5 k_P (theta - theta_d)^2."""
-    return _lyapunov(x.omega, x.theta, d, E, gains, k_E_used)
-
-
-def _lyapunov(omega: float, theta: float, d: DesiredState, E: float, gains: GainSet,
-              k_E_used: float) -> float:
     return (0.5 * k_E_used * E * E
             + 0.5 * gains.k_D * (omega - d.omega_d) ** 2
             + 0.5 * gains.k_P * (theta - d.theta_d) ** 2)
 
 
-def v_prime(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
-            gains: GainSet, k_E_used: float) -> float:
+def v_prime(terms: LawTerms, u: float, model: DiscreteModel, k_E_used: float) -> float:
     """Discrete forward Lyapunov rate.
 
     V' = k_E E_k [x^T D phi(A h)(A x + B u)]
          + (k_D/h)(omega - omega_d)(F_m x - omega)
          + k_P (theta - theta_d) omega
     """
-    terms = _state_terms(x, d, model, gains)
     return terms.rate(k_E_used, terms.ax + model.B * u)
 
 
-def _v1_margin(theta, omega, d: DesiredState, h: float, gains: GainSet, fmx):
-    """V1 left-hand side from F_m x already formed; F*_m x = -F_m x.
-    omega and fmx are scalars or equal-shape arrays (one grid row)."""
+def v1_margin(omega, theta, d: DesiredState, h: float, gains: GainSet, fmx):
+    """Left-hand side of V1 (<= 0 required), from F_m x already formed:
+    k_P (theta - theta_d) omega - (k_D/h)(omega - omega_d)(F*_m x - omega),
+    with F*_m x = -F_m x. omega and fmx are floats or equal-shape arrays
+    (one grid row)."""
     return (gains.k_P * (theta - d.theta_d) * omega
             - gains.k_D / h * (omega - d.omega_d) * (-fmx - omega))
 
 
-def v1_margin(x: PlantState, d: DesiredState, model: DiscreteModel, gains: GainSet) -> float:
-    """Left-hand side of V1 (<= 0 required):
-    k_P (theta - theta_d) omega - (k_D/h)(omega - omega_d)(F*_m x - omega).
-    """
-    return _v1_margin(x.theta, x.omega, d, model.h, gains, float(model.F[1] @ x.as_array()))
-
-
-def check_conditions(x: PlantState, d: DesiredState, u: float, model: DiscreteModel,
+def check_conditions(terms: LawTerms, d: DesiredState, u: float, model: DiscreteModel,
                      gains: GainSet, k_E_used: float) -> LyapunovSample:
-    """Evaluate every stability diagnostic at one sample, with the motor
-    (A, B, Psi and the energy weights) taken from the model."""
-    return _conditions_from_terms(_state_terms(x, d, model, gains), d, u, model, gains, k_E_used)
-
-
-def _conditions_from_terms(terms: _LawTerms, d: DesiredState, u: float, model: DiscreteModel,
-                           gains: GainSet, k_E_used: float) -> LyapunovSample:
-    """``check_conditions`` from terms already formed."""
+    """Evaluate every stability diagnostic at one sample from its law terms,
+    with the motor (A, B, Psi and the energy weights) taken from the model."""
     omega, theta = terms.omega, terms.theta
     closed = terms.ax + model.B * u   # B u + A x
     hi, lo = float(closed.max()), float(closed.min())  # NaN if any component is NaN
     Vp = terms.rate(k_E_used, closed)
-    v1 = _v1_margin(theta, omega, d, model.h, gains, terms.fmx)
+    v1 = v1_margin(omega, theta, d, model.h, gains, terms.fmx)
     low = gains.k_D * (omega - d.omega_d) * (terms.fmx - omega)
 
     return LyapunovSample(
-        V=_lyapunov(omega, theta, d, terms.E, gains, k_E_used),
+        V=lyapunov(omega, theta, d, terms.E, gains, k_E_used),
         V_prime=Vp,
         condition_main=Vp <= 0.0,
         V1_ok=v1 <= 0.0,
@@ -140,8 +124,8 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
 
     Every h must be at least the sampling floor EPS_H. All h
     rows are discretized in one stacked series evaluation; each row is then
-    one `_v1_margin` over all the omega values, so every cell has the bits
-    of the per-cell `v1_margin` call.
+    one `v1_margin` over all the omega values, so every cell has the bits
+    of the margin `check_conditions` reports at that state.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
@@ -151,10 +135,10 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
         raise ValueError("state entries must be finite")
     periods = h_values.tolist()
     for h in periods:
-        _check_period(h)
+        check_period(h)
 
     # the states as a stack of 1x3 rows: matmul with the 3x1 column F_m then
-    # rounds each F_m x as the 3-element product of the per-cell call does
+    # rounds each F_m x as the 3-element product of law_terms does
     X = np.empty((omega_values.size, 1, 3))
     X[:, 0, 0] = current_I
     X[:, 0, 1] = omega_values
@@ -162,5 +146,5 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     margins = np.empty((h_values.size, omega_values.size))
     for i, model in enumerate(discretize_periods(p, periods)):
         fmx = np.matmul(X, model.F[1][:, None])[:, 0, 0]
-        margins[i] = _v1_margin(theta, omega_values, desired, model.h, gains, fmx)
+        margins[i] = v1_margin(omega_values, theta, desired, model.h, gains, fmx)
     return StabilityGrid(axis1_values=h_values, axis2_values=omega_values, margins=margins)

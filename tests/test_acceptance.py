@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.controller import GainSet, control_input
-from flexctl.discretizer import discretize, rotational_row
+from flexctl.controller import GainSet, control_input, law_terms
+from flexctl.discretizer import discretize
 from flexctl.matseries import expm_via_phi, phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_rate)
@@ -118,14 +118,15 @@ def test_criterion_03_controller_closure():
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
         model = discretize(P, h)
-        out = control_input(x, DES, model, GAINS, u_prev)
+        xv = x.as_array()
+        terms = law_terms(xv, DES, model, GAINS)
+        out = control_input(terms, model, GAINS, u_prev, phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        vp = v_prime(x, DES, out.u, model, GAINS, out.k_E_used)
-        xv = x.as_array()
+        vp = v_prime(terms, out.u, model, out.k_E_used)
         t1 = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
-        t2 = GAINS.k_D / h * (x.omega - DES.omega_d) * (float(rotational_row(model) @ xv) - x.omega)
+        t2 = GAINS.k_D / h * (x.omega - DES.omega_d) * (float(model.F[1] @ xv) - x.omega)
         t3 = GAINS.k_P * (x.theta - DES.theta_d) * x.omega
         worst = max(worst, abs(vp) / (1.0 + abs(t1) + abs(t2) + abs(t3)))
     ok = worst <= 1e-7

@@ -86,6 +86,19 @@ def test_infinite_motor_constant_or_gain_is_usage_error(tmp_path, key):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["initial.omega = 1e160", "desired.theta_d = 1e200",
+                                  "initial.current_I = -1e10"])
+def test_state_beyond_the_divergence_limit_is_usage_error(tmp_path, line):
+    # V of such a state overflows a float; the config is refused before any step
+    (tmp_path / "big.cfg").write_text(line + "\n")
+    res = flexctl(["run", "--config", "big.cfg", "--out", "out.csv"], tmp_path)
+    assert res.returncode == 2
+    key = line.split(" = ")[0]
+    assert res.stderr.startswith(f"error: {key} must be within +-1e+09 (the divergence limit)")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_run_paper_literal_divergence_exit(tmp_path):
     res = flexctl(["run", "--gain-mode", "constant", "--fidelity", "paper_literal",
                    "--duration", "30", "--out", "div.csv"], tmp_path)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flexctl.controller import ControlOutput, GainSet, SamplingTooSmallError, control_input
-from flexctl.discretizer import discretize, rotational_row
+from flexctl.controller import (ControlOutput, GainSet, SamplingTooSmallError, control_input,
+                                law_terms)
+from flexctl.discretizer import discretize
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_rate, energy_weights)
@@ -16,8 +17,14 @@ DES = DesiredState()
 X0 = PlantState(0.4, 5.0, 0.1)
 
 
+def control(x, model, u_prev, gains=GAINS, d=DES):
+    """control_input at the PlantState x, with psi_s = phi(A h_s) built here."""
+    return control_input(law_terms(x.as_array(), d, model, gains), model, gains, u_prev,
+                         phi(model.A * gains.h_s))
+
+
 def retuned_gain(x, u_prev, h, gains=GAINS):
-    return control_input(x, DES, discretize(P, h), gains, u_prev).k_E_used
+    return control(x, discretize(P, h), u_prev, gains).k_E_used
 
 
 def test_dynamic_gain_at_standard_period():
@@ -47,8 +54,7 @@ def test_dynamic_gain_clamped_from_below():
 
 def test_rest_state_at_origin_gets_energy_floor():
     model = discretize(P, 0.11)
-    out = control_input(PlantState(0, 0, 0), DesiredState(theta_d=0.0), model,
-                        GAINS, u_prev=0.0)
+    out = control(PlantState(0, 0, 0), model, u_prev=0.0, d=DesiredState(theta_d=0.0))
     assert out.guard_event == "energy_floor"
     assert out.u == 0.0
     assert not out.saturated
@@ -63,13 +69,14 @@ def test_closure_identity_on_random_states():
         h = float(rng.uniform(0.05, 0.2))
         u_prev = float(rng.uniform(-45, 45))
         model = discretize(P, h)
-        out = control_input(x, DES, model, GAINS, u_prev)
+        xv = x.as_array()
+        terms = law_terms(xv, DES, model, GAINS)
+        out = control_input(terms, model, GAINS, u_prev, phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        vp = v_prime(x, DES, out.u, model, GAINS, out.k_E_used)
-        xv = x.as_array()
-        f_m = rotational_row(model)
+        vp = v_prime(terms, out.u, model, out.k_E_used)
+        f_m = model.F[1]
         t1 = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
         t2 = GAINS.k_D / h * (x.omega - DES.omega_d) * (float(f_m @ xv) - x.omega)
         t3 = GAINS.k_P * (x.theta - DES.theta_d) * x.omega
@@ -86,15 +93,17 @@ def test_law_reads_the_motor_from_its_model():
         x = PlantState(*rng.uniform(-10, 10, size=3))
         h = float(rng.uniform(0.05, 0.2))
         model = discretize(p2, h)
-        out = control_input(x, DES, model, GAINS, float(rng.uniform(-45, 45)))
+        terms = law_terms(x.as_array(), DES, model, GAINS)
+        out = control_input(terms, model, GAINS, float(rng.uniform(-45, 45)),
+                            phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        sample = check_conditions(x, DES, out.u, model, GAINS, out.k_E_used)
-        assert sample.V == lyapunov(x, DES, energy(x, p2), GAINS, out.k_E_used)
-        assert sample.V != lyapunov(x, DES, energy(x, P), GAINS, out.k_E_used)
+        sample = check_conditions(terms, DES, out.u, model, GAINS, out.k_E_used)
+        assert sample.V == lyapunov(x.omega, x.theta, DES, energy(x, p2), GAINS, out.k_E_used)
+        assert sample.V != lyapunov(x.omega, x.theta, DES, energy(x, P), GAINS, out.k_E_used)
 
-        fmx = float(rotational_row(model) @ x.as_array())
+        fmx = float(model.F[1] @ x.as_array())
         t_DP = (GAINS.k_D / h * (x.omega - DES.omega_d) * (fmx - x.omega)
                 + GAINS.k_P * (x.theta - DES.theta_d) * x.omega)
         t_E = out.k_E_used * energy(x, p2) * energy_rate(x, out.u, h, p2)
@@ -108,7 +117,7 @@ def test_large_error_state_saturates():
     # initial state also drives u_raw far beyond the 45 V limit
     model = discretize(P, 0.11)
     for x in (PlantState(0.0, -50.0, DES.theta_d + 10.0), X0):
-        out = control_input(x, DES, model, GAINS, u_prev=0.0)
+        out = control(x, model, u_prev=0.0)
         assert out.saturated
         assert abs(out.u) == GAINS.u_sat
 
@@ -118,14 +127,14 @@ def test_output_always_within_saturation():
     for _ in range(200):
         x = PlantState(*rng.uniform(-50, 50, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
-        out = control_input(x, DES, model, GAINS, float(rng.uniform(-100, 100)))
+        out = control(x, model, float(rng.uniform(-100, 100)))
         assert abs(out.u) <= GAINS.u_sat
 
 
 def test_sampling_floor_raises():
     model = discretize(P, 5e-5)
     with pytest.raises(SamplingTooSmallError):
-        control_input(X0, DES, model, GAINS, 0.0)
+        control(X0, model, 0.0)
 
 
 def test_denominator_floor_holds_previous_input():
@@ -134,11 +143,11 @@ def test_denominator_floor_holds_previous_input():
     A, B = continuous_matrices(P)
     v = np.diag(energy_weights(P)) @ phi(A * h) @ B
     x = PlantState(v[1], -v[0], 0.0)  # x . (D phi B) = 0 exactly
-    out = control_input(x, DES, model, GAINS, u_prev=7.5)
+    out = control(x, model, u_prev=7.5)
     assert out.guard_event == "denominator_floor"
     assert out.u == 7.5
 
-    out_big = control_input(x, DES, model, GAINS, u_prev=100.0)
+    out_big = control(x, model, u_prev=100.0)
     assert out_big.u == GAINS.u_sat
     assert out_big.saturated
 
@@ -150,15 +159,15 @@ def test_gain_fallback_event_surfaces():
     xv = X0.as_array()
     w = xv @ np.diag(energy_weights(P)) @ phi(A * h)
     hold = -float(w @ (A @ xv)) / float(w @ B)  # makes E'(h_k) vanish
-    out = control_input(X0, DES, model, GAINS, u_prev=hold)
+    out = control(X0, model, u_prev=hold)
     assert out.guard_event == "gain_fallback"
     assert out.k_E_used == GAINS.k_E_s
 
 
 def test_determinism():
     model = discretize(P, 0.13)
-    a = control_input(X0, DES, model, GAINS, 1.25)
-    b = control_input(X0, DES, model, GAINS, 1.25)
+    a = control(X0, model, 1.25)
+    b = control(X0, model, 1.25)
     assert a == b
     assert isinstance(a, ControlOutput)
 
@@ -179,7 +188,7 @@ def test_gains_must_be_finite(name, value):
 
 def test_infinite_u_sat_is_an_unsaturated_law():
     gains = GainSet(u_sat=math.inf)
-    out = control_input(X0, DES, discretize(P, 0.11), gains, 0.0)
+    out = control(X0, discretize(P, 0.11), 0.0, gains)
     assert not out.saturated
     assert abs(out.u) > GAINS.u_sat  # the reference state saturates at 45 V
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.discretizer import discretize, rotational_row
+from flexctl.discretizer import discretize
 from flexctl.plant import MotorParams, continuous_matrices
 
 
@@ -51,7 +51,7 @@ def test_rotational_row():
     A, B = continuous_matrices(p)
     m = discretize(p, 0.11)
     F, _ = augmented_oracle(A, B, 0.11)
-    assert np.max(np.abs(rotational_row(m) - F[1])) < 1e-8 * np.max(np.abs(F[1]))
+    assert np.max(np.abs(m.F[1] - F[1])) < 1e-8 * np.max(np.abs(F[1]))
 
 
 def test_rotational_row_predicts_omega():
@@ -60,7 +60,7 @@ def test_rotational_row_predicts_omega():
     x = np.array([0.4, 5.0, 0.1])
     u = 3.0
     omega_next = (m.F @ x + m.G * u)[1]
-    assert rotational_row(m) @ x == pytest.approx(omega_next - m.G[1] * u, rel=1e-12)
+    assert m.F[1] @ x == pytest.approx(omega_next - m.G[1] * u, rel=1e-12)
 
 
 def test_model_validation():

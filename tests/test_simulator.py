@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flexctl import cli, controller, discretizer, simulator
-from flexctl.controller import EPS_H, GainSet, control_input
+from flexctl import cli, discretizer, simulator
+from flexctl.controller import EPS_H, GainSet, control_input, law_terms
 from flexctl.discretizer import discretize, discretize_periods
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
@@ -199,6 +199,22 @@ def test_duration_validation():
         cli.build_sim_config(overrides={"duration": math.inf})
 
 
+@pytest.mark.parametrize("group, name", [
+    ("initial", "current_I"), ("initial", "omega"), ("initial", "theta"),
+    ("desired", "theta_d"), ("desired", "omega_d"),
+])
+def test_start_and_target_within_the_divergence_limit(group, name):
+    # the bound run enforces on every state it produces; V of a state far
+    # beyond it is not a float
+    limit = simulator.DIVERGENCE_LIMIT
+    base = SimConfig()
+    for value in (limit, -limit):
+        SimConfig(**{group: replace(getattr(base, group), **{name: value})})
+    for value in (math.nextafter(limit, math.inf), -2 * limit, 1e200):
+        with pytest.raises(ValueError, match=f"{group}.{name} must be within"):
+            SimConfig(**{group: replace(getattr(base, group), **{name: value})})
+
+
 def test_rk4_crosscheck_short_window():
     cfg = nominal_config(seed=1)
     trace = run(cfg)
@@ -278,7 +294,8 @@ def test_trace_record_fields_match_columns():
 
 def replay(cfg):
     """The closed loop rebuilt from public calls: a fresh model every step,
-    and control_input building phi(A h_s) on its own."""
+    the state carried as a PlantState, E from energy, and phi(A h_s) built
+    on its own."""
     sched = Scheduler(cfg.schedule)
     p = cfg.params
     state, u_prev, t, k = cfg.initial, 0.0, 0.0, 0
@@ -289,8 +306,9 @@ def replay(cfg):
         xv = state.as_array()
         assert energy_rate(state, u_prev, model.h, p) == float(
             xv * energy_weights(p) @ model.psi @ (model.A @ xv + model.B * u_prev))
-        out = control_input(state, cfg.desired, model, cfg.gains, u_prev)
-        sample = check_conditions(state, cfg.desired, out.u, model, cfg.gains, out.k_E_used)
+        terms = law_terms(xv, cfg.desired, model, cfg.gains)
+        out = control_input(terms, model, cfg.gains, u_prev, phi(model.A * cfg.gains.h_s))
+        sample = check_conditions(terms, cfg.desired, out.u, model, cfg.gains, out.k_E_used)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=state.current_I, omega=state.omega, theta=state.theta,
             u=out.u, E=energy(state, p), k_E=out.k_E_used, V=sample.V, V_prime=sample.V_prime,
@@ -305,8 +323,9 @@ def replay(cfg):
 
 @pytest.mark.parametrize("mode", ["random_hold", "per_step"])
 def test_run_equals_step_by_step_replay(mode):
-    # run forms the law terms once per step; the replay goes through the
-    # public control_input, check_conditions and energy
+    # run discretizes the schedule up front and carries the state as a
+    # vector; the replay discretizes every step and goes through PlantState
+    # and energy
     for seed in range(1, 31):
         for gain_mode in ("dynamic", "constant"):
             cfg = SimConfig(gains=GainSet(gain_mode=gain_mode),
@@ -356,7 +375,6 @@ def test_run_discretizes_each_distinct_period_once(monkeypatch, cfg):
 
     monkeypatch.setattr(simulator, "discretize_periods", counting_periods)
     monkeypatch.setattr(discretizer, "phi", counting_phi)
-    monkeypatch.setattr(controller, "phi", counting_phi)
     trace = run(cfg)
     distinct = list(dict.fromkeys(r.h_k for r in trace))
     if cfg.schedule.mode == "random_hold":
@@ -366,8 +384,28 @@ def test_run_discretizes_each_distinct_period_once(monkeypatch, cfg):
     assert stacks == [(len(distinct) + 1, 3, 3)]
 
 
+@pytest.mark.parametrize("gain_mode", ["dynamic", "constant"])
+@pytest.mark.parametrize("mode", ["random_hold", "per_step"])
+def test_run_goes_through_the_public_layer_once_per_step(monkeypatch, mode, gain_mode):
+    calls = {"control_input": 0, "check_conditions": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simulator, "control_input", counting("control_input", control_input))
+    monkeypatch.setattr(simulator, "check_conditions",
+                        counting("check_conditions", check_conditions))
+    trace = run(SimConfig(gains=GainSet(gain_mode=gain_mode),
+                          schedule=ScheduleSpec(seed=3, mode=mode)))
+    assert len(trace) > 40
+    assert calls == {"control_input": len(trace), "check_conditions": len(trace)}
+
+
 def test_run_with_standard_period_below_the_floor_matches_replay():
-    # psi_s from the stacked run, built by control_input in the replay
+    # psi_s from the stacked run, built by its own phi call in the replay
     cfg = SimConfig(gains=GainSet(h_s=5e-5),
                     schedule=ScheduleSpec(seed=5, h_min=0.07, h_max=0.2), duration=3.0)
     assert cfg.gains.h_s < EPS_H

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.controller import GainSet, SamplingTooSmallError, control_input
+from flexctl.controller import GainSet, SamplingTooSmallError, control_input, law_terms
 from flexctl.discretizer import discretize, discretize_periods
+from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
                            energy, energy_weights)
 from flexctl.scheduler import ScheduleSpec
@@ -31,22 +32,32 @@ def v_prime_oracle(x, d, u, h, gains, k_E, p):
             + gains.k_P * (x.theta - d.theta_d) * x.omega)
 
 
+def terms_at(x, model, d=DES, gains=GAINS):
+    """The law terms at the PlantState x."""
+    return law_terms(x.as_array(), d, model, gains)
+
+
+def margin_at(x, d, model, gains):
+    """The V1 margin at the PlantState x, with F_m x formed here."""
+    return v1_margin(x.omega, x.theta, d, model.h, gains, float(model.F[1] @ x.as_array()))
+
+
 def test_lyapunov_zero_at_desired_rest():
     d = DesiredState(theta_d=0.0)
-    assert lyapunov(PlantState(0, 0, 0), d, 0.0, GAINS, 725.0) == 0.0
+    assert lyapunov(0.0, 0.0, d, 0.0, GAINS, 725.0) == 0.0
 
 
 def test_lyapunov_reference_value():
     # 0.5*725*0.05208^2 + 0.5*0.07*5^2 + 0.5*565*(0.1-2)^2
-    V = lyapunov(PlantState(0.4, 5.0, 0.1), DES, 0.05208, GAINS, 725.0)
+    V = lyapunov(5.0, 0.1, DES, 0.05208, GAINS, 725.0)
     assert V == pytest.approx(1021.68321832, abs=1e-8)
 
 
 def test_lyapunov_scales_with_gains():
     x = PlantState(0.2, -1.0, 3.0)
-    V1 = lyapunov(x, DES, 0.4, GAINS, 725.0)
+    V1 = lyapunov(x.omega, x.theta, DES, 0.4, GAINS, 725.0)
     scaled = GainSet(k_E_s=GAINS.k_E_s, k_P=3 * GAINS.k_P, k_D=3 * GAINS.k_D)
-    V3 = lyapunov(x, DES, 0.4, scaled, 3 * 725.0)
+    V3 = lyapunov(x.omega, x.theta, DES, 0.4, scaled, 3 * 725.0)
     assert V3 == pytest.approx(3 * V1, rel=1e-12)
 
 
@@ -54,20 +65,22 @@ def test_lyapunov_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = PlantState(*rng.uniform(-20, 20, size=3))
-        V = lyapunov(x, DES, float(rng.uniform(0, 10)), GAINS, float(rng.uniform(0, 2000)))
+        V = lyapunov(x.omega, x.theta, DES, float(rng.uniform(0, 10)), GAINS,
+                     float(rng.uniform(0, 2000)))
         assert V >= 0.0
 
 
 def test_v_prime_zero_case():
     model = discretize(P, 0.11)
-    got = v_prime(PlantState(0, 0, 0), DesiredState(theta_d=0.0), 0.0, model, GAINS, 725.0)
+    got = v_prime(terms_at(PlantState(0, 0, 0), model, d=DesiredState(theta_d=0.0)), 0.0, model,
+                  725.0)
     assert got == 0.0
 
 
 def test_v_prime_double_entry_oracle():
     model = discretize(P, 0.11)
     x = PlantState(0.4, 5.0, 0.1)
-    got = v_prime(x, DES, 0.0, model, GAINS, 1335.0)
+    got = v_prime(terms_at(x, model), 0.0, model, 1335.0)
     want = v_prime_oracle(x, DES, 0.0, 0.11, GAINS, 1335.0, P)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -78,16 +91,19 @@ def test_v_prime_closure_with_control_input():
     while checked < 50:
         x = PlantState(*rng.uniform(-10, 10, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
-        out = control_input(x, DES, model, GAINS, float(rng.uniform(-45, 45)))
+        terms = terms_at(x, model)
+        out = control_input(terms, model, GAINS, float(rng.uniform(-45, 45)),
+                            phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        assert abs(v_prime(x, DES, out.u, model, GAINS, out.k_E_used)) < 1e-6
+        assert abs(v_prime(terms, out.u, model, out.k_E_used)) < 1e-6
 
 
 def test_one_law_across_entry_points():
-    # check_conditions, v_prime and v1_margin evaluate the same terms to the
-    # bit, and control_input zeroes exactly that V'
+    # closure on one set of law terms: check_conditions reports the V' of
+    # v_prime and the V1 margin of a state's own F_m x to the bit, and the
+    # control input solved from the same terms zeroes that V'
     rng = np.random.default_rng(5)
     closed = 0
     for _ in range(200):
@@ -96,15 +112,16 @@ def test_one_law_across_entry_points():
         u = float(rng.uniform(-45, 45))
         k_E = float(rng.uniform(GAINS.K_c, 2000.0))
         model = discretize(P, h)
-        s = check_conditions(x, DES, u, model, GAINS, k_E)
-        assert s.V_prime == v_prime(x, DES, u, model, GAINS, k_E)
-        assert s.v1_margin == v1_margin(x, DES, model, GAINS)
-        out = control_input(x, DES, model, GAINS, u)
+        terms = terms_at(x, model)
+        s = check_conditions(terms, DES, u, model, GAINS, k_E)
+        assert s.V_prime == v_prime(terms, u, model, k_E)
+        assert s.v1_margin == margin_at(x, DES, model, GAINS)
+        out = control_input(terms, model, GAINS, u, phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         closed += 1
-        vp = check_conditions(x, DES, out.u, model, GAINS, out.k_E_used).V_prime
-        assert vp == v_prime(x, DES, out.u, model, GAINS, out.k_E_used)
+        vp = check_conditions(terms, DES, out.u, model, GAINS, out.k_E_used).V_prime
+        assert vp == v_prime(terms, out.u, model, out.k_E_used)
         assert abs(vp) < 1e-6
     assert closed >= 100
 
@@ -118,16 +135,16 @@ def test_v_prime_approximates_forward_difference():
     for h in (0.04, 0.02, 0.01):
         m = discretize(P, h)
         x1 = PlantState.from_array(m.F @ x.as_array() + m.G * u)
-        V0 = lyapunov(x, DES, energy(x, P), GAINS, k_E)
-        V1 = lyapunov(x1, DES, energy(x1, P), GAINS, k_E)
-        residuals.append(abs(v_prime(x, DES, u, m, GAINS, k_E) - (V1 - V0) / h))
+        V0 = lyapunov(x.omega, x.theta, DES, energy(x, P), GAINS, k_E)
+        V1 = lyapunov(x1.omega, x1.theta, DES, energy(x1, P), GAINS, k_E)
+        residuals.append(abs(v_prime(terms_at(x, m), u, m, k_E) - (V1 - V0) / h))
     assert residuals[0] > residuals[1] > residuals[2]
 
 
 def test_check_conditions_rest_at_desired():
     model = discretize(P, 0.11)
     d = DesiredState(theta_d=0.0)
-    s = check_conditions(PlantState(0, 0, 0), d, 0.0, model, GAINS, 725.0)
+    s = check_conditions(terms_at(PlantState(0, 0, 0), model, d=d), d, 0.0, model, GAINS, 725.0)
     assert s.V == 0.0
     assert s.V_prime == 0.0
     assert s.condition_main and s.V1_ok and s.V2_ok
@@ -138,7 +155,8 @@ def test_check_conditions_rest_at_desired():
 
 def test_check_conditions_sample_fields():
     model = discretize(P, 0.11)
-    s = check_conditions(PlantState(0.4, 5.0, 0.1), DES, 3.0, model, GAINS, 1335.0)
+    s = check_conditions(terms_at(PlantState(0.4, 5.0, 0.1), model), DES, 3.0, model, GAINS,
+                         1335.0)
     assert s.V >= 0.0
     assert s.V1_ok == (s.v1_margin <= 0.0)
     # V2 and the high-boundary test are opposite inequalities on B u + A x
@@ -154,7 +172,8 @@ def test_v1_and_v2_do_not_imply_a_decreasing_v():
     # is componentwise >= 0; here w has negative I and omega entries
     x = PlantState(-2.738, -29.12, 2.257)
     h, u = 0.0525, -33.71
-    s = check_conditions(x, DES, u, discretize(P, h), GAINS, GAINS.k_E_s)
+    model = discretize(P, h)
+    s = check_conditions(terms_at(x, model), DES, u, model, GAINS, GAINS.k_E_s)
     assert s.V1_ok and s.V2_ok
     assert not s.condition_main
     assert s.V_prime == pytest.approx(22_730.6, rel=1e-5)
@@ -184,7 +203,7 @@ def test_sign_flags_equal_the_componentwise_reductions():
     for x, u in sign_samples():
         with np.errstate(invalid="ignore"):  # 0 * inf in B u
             closed = A @ x.as_array() + B * u
-            s = check_conditions(x, DES, u, model, GAINS, 725.0)
+            s = check_conditions(terms_at(x, model), DES, u, model, GAINS, 725.0)
         zero_components += int(np.sum(closed == 0.0))
         assert s.V2_ok == bool((closed <= 0.0).all()), (x, u)
         assert s.boundary_high_ok == bool((-closed <= 0.0).all()), (x, u)
@@ -204,7 +223,7 @@ def test_v1_holds_in_high_kp_regime_on_approach_states():
             continue
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
         n += 1
-        ok += v1_margin(PlantState(cur, om, th), DES, model, GAINS) <= 0.0
+        ok += margin_at(PlantState(cur, om, th), DES, model, GAINS) <= 0.0
     assert ok / n >= 0.95
 
 
@@ -232,14 +251,15 @@ def adversarial_run(gains, objective, duration=10.0):
     whose next state has the largest V (at this step's gain) or the largest
     max|x|. Returns the visited states, their times and the periods used."""
     x, u_prev, t = SimConfig().initial, 0.0, 0.0
+    psi_s = phi(ADVERSARY_MODELS[0].A * gains.h_s)
     states, times, periods = [x], [t], []
     while t < duration:
         best = None
         for model in ADVERSARY_MODELS:
-            out = control_input(x, DES, model, gains, u_prev)
+            out = control_input(terms_at(x, model, gains=gains), model, gains, u_prev, psi_s)
             nxt = PlantState.from_array(model.F @ x.as_array() + model.G * out.u)
             if objective == "V":
-                score = lyapunov(nxt, DES, energy(nxt, P), gains, out.k_E_used)
+                score = lyapunov(nxt.omega, nxt.theta, DES, energy(nxt, P), gains, out.k_E_used)
             else:
                 score = float(np.max(np.abs(nxt.as_array())))
             if best is None or score > best[0]:
@@ -298,7 +318,7 @@ def stability_map_reference(p, gains, h_values, omega_values, current_I, theta, 
     rows = []
     for h in h_values:
         model = discretize(p, float(h))
-        rows.append([v1_margin(PlantState(current_I, float(om), theta), d, model, gains)
+        rows.append([margin_at(PlantState(current_I, float(om), theta), d, model, gains)
                      for om in omega_values])
     return np.array(rows)
 
