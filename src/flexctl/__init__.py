@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .controller import (ControlOutput, GainSet, LawTerms, SamplingTooSmallError, control_input,
                          law_terms)
-from .discretizer import DiscreteModel, discretize, discretize_periods
+from .discretizer import DiscreteModel, ModelStack, discretize, discretize_periods
 from .matseries import SeriesConvergenceError, expm_via_phi, phi
 from .plant import (DesiredState, MotorParams, PlantState, continuous_matrices, energy,
                     energy_rate, energy_weights)
@@ -14,7 +14,7 @@ from .stability import LyapunovSample, StabilityGrid, check_conditions, lyapunov
 
 __all__ = [
     "ControlOutput", "GainSet", "LawTerms", "SamplingTooSmallError", "control_input", "law_terms",
-    "DiscreteModel", "discretize", "discretize_periods",
+    "DiscreteModel", "ModelStack", "discretize", "discretize_periods",
     "SeriesConvergenceError", "expm_via_phi", "phi",
     "DesiredState", "MotorParams", "PlantState", "continuous_matrices",
     "energy", "energy_rate", "energy_weights",

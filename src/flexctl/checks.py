@@ -78,8 +78,11 @@ def _reference_cases() -> list[np.ndarray]:
 
 def run_identity_checks(seed: int = 0, trials: int = 50,
                         tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Run the full identity suite; `tol` lets a degraded series
-    tolerance be injected to confirm the checks can actually fail."""
+    """Run the full identity suite on `trials` random matrices (>= 0) plus
+    the reference cases; `tol` lets a degraded series tolerance be injected
+    to confirm the checks can actually fail."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = _random_matrices(rng, trials) + _reference_cases()
     half = mats[: max(trials // 2, 1)]
@@ -111,8 +114,9 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     aug[:3, 3] = B
     periods = np.linspace(0.01, 0.3, 50).tolist()
     bigs = expm(aug * np.array(periods)[:, None, None])
-    for m, big in zip(discretize_periods(p, periods, tol), bigs):
-        disc = max(disc, _rel_err(m.F, big[:3, :3]), _rel_err(m.G, big[:3, 3]))
+    stack = discretize_periods(p, periods, tol)
+    for F, G, big in zip(stack.F, stack.G, bigs):
+        disc = max(disc, _rel_err(F, big[:3, :3]), _rel_err(G, big[:3, 3]))
 
     return [
         CheckResult("commutation M*phi(M) = phi(M)*M", commut, 1e-10),

@@ -58,8 +58,7 @@ class GainSet:
             raise ValueError(f"gain_mode must be one of {GAIN_MODES}, got {self.gain_mode!r}")
 
 
-@dataclass(frozen=True)
-class ControlOutput:
+class ControlOutput(NamedTuple):
     u: float
     k_E_used: float
     saturated: bool

@@ -35,8 +35,9 @@ class ScheduleSpec:
         if not EPS_H <= self.h_min <= self.h_max < math.inf:
             raise ValueError(
                 f"need eps_h <= h_min <= h_max < inf, got h_min={self.h_min}, h_max={self.h_max}")
-        if self.hold_max < 1:
-            raise ValueError(f"hold_max must be >= 1, got {self.hold_max}")
+        # the hold length is drawn as an int64 below hold_max + 1
+        if not 1 <= self.hold_max <= 2**63 - 1:
+            raise ValueError(f"hold_max must be in [1, 2**63 - 1], got {self.hold_max}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0 <= self.seed < 2**64:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class SimConfig:
                                      f" (the divergence limit), got {value}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One simulation step; field order matches the trace CSV columns."""
 
     k: int
@@ -95,7 +94,8 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     The period sequence does not depend on the state, so it is drawn in
     full first, with the clock accumulating h as the steps will. Each
     distinct period, plus h_s for phi(A h_s), is then discretized once,
-    all in one stacked series evaluation, before the first step. Input
+    all in one stacked series evaluation and one ModelStack, before the
+    first step; each distinct period maps to its view of the stack. Input
     threading is strictly sequential: u_prev feeds the gain retune of the
     next step and starts at 0 V.
     """
@@ -107,9 +107,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
         periods.append(h)
         t += h
     distinct = list(dict.fromkeys(periods))
-    built = discretize_periods(cfg.params, distinct + [cfg.gains.h_s])
-    models = dict(zip(distinct, built))
-    psi_s = built[-1].psi
+    stack = discretize_periods(cfg.params, distinct + [cfg.gains.h_s])
+    models = dict(zip(distinct, stack))
+    psi_s = stack.psi[-1]
 
     d, gains = cfg.desired, cfg.gains
     x0 = cfg.initial
@@ -188,11 +188,13 @@ def compare_gain_modes(cfg: SimConfig) -> ComparisonResult:
                            run(with_gain_mode(cfg, "constant")))
 
 
+# the column types; the annotations themselves are strings under
+# `from __future__ import annotations`
+_COLUMN_TYPES = get_type_hints(TraceRecord)
 # one row of the trace CSV: floats in round-trip precision (repr), k and the
 # booleans as integers (1/0), guard_event as its name
-_ROW_FORMAT = ",".join({"int": "%d", "float": "%r", "bool": "%d", "str": "%s"}[f.type]
-                       for f in fields(TraceRecord)) + "\n"
-_ROW_VALUES = attrgetter(*TRACE_COLUMNS)
+_ROW_FORMAT = ",".join({int: "%d", float: "%r", bool: "%d", str: "%s"}[_COLUMN_TYPES[name]]
+                       for name in TraceRecord._fields) + "\n"
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:
@@ -204,13 +206,13 @@ def write_trace_csv(trace: list[TraceRecord], path) -> None:
     """
     with Path(path).open("w", newline="") as f:
         f.write(",".join(TRACE_COLUMNS) + "\n")
-        f.writelines(_ROW_FORMAT % _ROW_VALUES(r) for r in trace)
+        f.writelines(_ROW_FORMAT % r for r in trace)
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
     """Inverse of write_trace_csv."""
-    parsers = {"int": int, "float": float, "bool": lambda raw: raw == "1", "str": str}
-    converters = {f.name: parsers[f.type] for f in fields(TraceRecord)}
+    parsers = {int: int, float: float, bool: lambda raw: raw == "1", str: str}
+    converters = {name: parsers[kind] for name, kind in _COLUMN_TYPES.items()}
     with Path(path).open(newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != list(TRACE_COLUMNS):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .discretizer import DiscreteModel, discretize_periods
 from .plant import DesiredState, MotorParams
 
 
-@dataclass(frozen=True)
-class LyapunovSample:
+class LyapunovSample(NamedTuple):
     """Diagnostics for one (state, input, period) sample."""
 
     V: float
@@ -123,9 +123,10 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     """V1 margin over an (h, |omega|) grid at constant current and angle.
 
     Every h must be at least the sampling floor EPS_H. All h
-    rows are discretized in one stacked series evaluation; each row is then
-    one `v1_margin` over all the omega values, so every cell has the bits
-    of the margin `check_conditions` reports at that state.
+    rows are discretized in one stacked series evaluation (one ModelStack);
+    each row is then one `v1_margin` over all the omega values, so every
+    cell has the bits of the margin `check_conditions` reports at that
+    state.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
@@ -143,8 +144,9 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     X[:, 0, 0] = current_I
     X[:, 0, 1] = omega_values
     X[:, 0, 2] = theta
+    stack = discretize_periods(p, periods)
     margins = np.empty((h_values.size, omega_values.size))
-    for i, model in enumerate(discretize_periods(p, periods)):
-        fmx = np.matmul(X, model.F[1][:, None])[:, 0, 0]
-        margins[i] = v1_margin(omega_values, theta, desired, model.h, gains, fmx)
+    for i, (h, Fm) in enumerate(zip(stack.h.tolist(), stack.F[:, 1, :, None])):
+        fmx = np.matmul(X, Fm)[:, 0, 0]
+        margins[i] = v1_margin(omega_values, theta, desired, h, gains, fmx)
     return StabilityGrid(axis1_values=h_values, axis2_values=omega_values, margins=margins)

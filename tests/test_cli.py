@@ -64,7 +64,7 @@ def test_run_infinite_h_max_is_usage_error(tmp_path):
     ["stability-map", "--fidelity", "paper_literal", "--h-max", "1000"],
     # A h itself beyond the float range: phi's finiteness check, with no warning
     ["run", "--h-max", "1e308"],
-    # e^(Ah) representable but F = I + A h Psi not: DiscreteModel's check
+    # e^(Ah) representable but F = I + A h Psi not: ModelStack's check
     ["run", "--fidelity", "paper_literal", "--h-min", "705", "--h-max", "705",
      "--duration", "2000"],
 ], ids=["run_e_Ah_overflow", "map_e_Ah_overflow", "run_Ah_overflow", "run_F_overflow"])
@@ -83,6 +83,18 @@ def test_infinite_motor_constant_or_gain_is_usage_error(tmp_path, key):
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
     assert "must be finite" in res.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["random_hold", "per_step", "fixed"])
+@pytest.mark.parametrize("hold_max", [2**63, 10**20])
+def test_hold_max_beyond_int64_is_usage_error(tmp_path, mode, hold_max):
+    # the hold length is an int64 draw; per_step and fixed never draw one
+    (tmp_path / "hold.cfg").write_text(f"schedule.mode = {mode}\nschedule.hold_max = {hold_max}\n")
+    res = flexctl(["run", "--config", "hold.cfg", "--out", "out.csv"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: hold_max must be in [1, 2**63 - 1]")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -320,6 +332,17 @@ def test_validate_degraded_tolerance_fails(tmp_path):
     assert res.returncode != 0
     assert "FAIL" in res.stdout
     assert "e^M = I + M*phi(M)" in res.stdout
+
+
+def test_validate_negative_trials_is_usage_error(tmp_path):
+    res = flexctl(["validate", "--trials", "-1"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == "error: trials must be >= 0, got -1\n"
+    assert res.stdout == ""
+    # no random matrices: the reference cases alone
+    res = flexctl(["validate", "--trials", "0"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "all checks passed" in res.stdout
 
 
 def test_validate_unreachable_tolerance_is_usage_error(tmp_path):

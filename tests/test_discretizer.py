@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.discretizer import discretize
+from flexctl.controller import EPS_H
+from flexctl.discretizer import DiscreteModel, ModelStack, discretize, discretize_periods
 from flexctl.plant import MotorParams, continuous_matrices
 
 
@@ -63,20 +64,58 @@ def test_rotational_row_predicts_omega():
     assert m.F[1] @ x == pytest.approx(omega_next - m.G[1] * u, rel=1e-12)
 
 
+def stack_fields(k=3):
+    """Valid ModelStack fields for k periods."""
+    return dict(F=np.tile(np.eye(3), (k, 1, 1)), G=np.zeros((k, 3)),
+                psi=np.tile(np.eye(3), (k, 1, 1)), h=np.full(k, 0.1), A=np.eye(3),
+                B=np.zeros(3), weights=np.ones(3))
+
+
 def test_model_validation():
-    from flexctl.discretizer import DiscreteModel
-    fields = dict(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3), A=np.eye(3), B=np.zeros(3),
-                  weights=np.ones(3))
-    DiscreteModel(**fields)
-    with pytest.raises(ValueError):
-        DiscreteModel(**{**fields, "h": 0.0})
-    for name in ("F", "G", "psi", "A", "B", "weights"):
-        with pytest.raises(ValueError):
-            DiscreteModel(**{**fields, name: np.full_like(fields[name], np.nan)})
+    fields = stack_fields()
+    ModelStack(**fields)
+    for i in range(3):  # every slot of h, by the bad value
+        for bad in (0.0, -0.1, np.nan):
+            h = fields["h"].copy()
+            h[i] = bad
+            with pytest.raises(ValueError, match="h must be > 0"):
+                ModelStack(**{**fields, "h": h})
+    for name in ("F", "G", "psi"):  # NaN in one slice only
+        for i in range(3):
+            value = fields[name].copy()
+            value[i].flat[-1] = np.nan
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ModelStack(**{**fields, name: value})
+    for name in ("A", "B", "weights"):  # the shared arrays
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ModelStack(**{**fields, name: np.full_like(fields[name], np.nan)})
     with pytest.raises(TypeError):  # Psi, the continuous pair and the weights are required
-        DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3))
+        ModelStack(F=fields["F"], G=fields["G"], h=fields["h"], psi=fields["psi"])
     with pytest.raises(TypeError):
-        DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3), A=np.eye(3), B=np.zeros(3))
+        ModelStack(F=fields["F"], G=fields["G"], h=fields["h"], psi=fields["psi"],
+                   A=np.eye(3), B=np.zeros(3))
+    # the per-period view is a plain record, never checked again
+    assert not hasattr(DiscreteModel, "__post_init__")
+    with pytest.raises(TypeError):
+        DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3))
+
+
+def test_stack_views_are_the_single_period_models():
+    # held and fresh periods, and a standard period below the floor EPS_H
+    p = MotorParams()
+    periods = [0.11, 0.05, 0.11, 0.173, 0.05, 5e-5, 0.2, 0.173]
+    assert min(periods) < EPS_H
+    stack = discretize_periods(p, periods)
+    assert len(stack) == len(periods)
+    for i, (h, iterated) in enumerate(zip(periods, stack, strict=True)):
+        view, alone = stack[i], discretize(p, h)
+        assert type(view.h) is float and view.h == h
+        assert type(alone.h) is float
+        for name in DiscreteModel._fields:
+            want = np.asarray(getattr(alone, name))
+            for got in (np.asarray(getattr(view, name)), np.asarray(getattr(iterated, name))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (i, name)
+    assert stack.h.tolist() == periods
 
 
 def test_model_carries_its_own_continuous_pair():

@@ -56,9 +56,19 @@ def test_spec_validation():
         ScheduleSpec(h_min=np.inf, h_max=np.inf)
     with pytest.raises(ValueError):
         ScheduleSpec(hold_max=0)
+    with pytest.raises(ValueError, match="hold_max"):
+        ScheduleSpec(hold_max=2**63)  # beyond the int64 draw of the hold length
     with pytest.raises(ValueError):
         ScheduleSpec(mode="sometimes")
     with pytest.raises(ValueError):
         ScheduleSpec(seed=-1)
     with pytest.raises(ValueError):
         ScheduleSpec(seed=2**64)
+
+
+def test_largest_hold_max_is_drawn():
+    # the hold length is drawn from [1, hold_max] as an int64
+    spec = ScheduleSpec(hold_max=2**63 - 1, seed=1)
+    sched = Scheduler(spec)
+    periods = [sched.next_period() for _ in range(5)]
+    assert all(spec.h_min <= h <= spec.h_max for h in periods)

@@ -1,9 +1,11 @@
+import ast
 import copy
 import csv
 import hashlib
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,10 +137,16 @@ def test_divergence_not_triggered_within_short_horizon_paper_literal():
 
 
 def test_trace_csv_roundtrip(tmp_path):
-    trace = run(nominal_config(seed=8, duration=3.0))
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    assert read_trace_csv(path) == trace
+    configs = [nominal_config(seed=8, duration=3.0)] + [
+        SimConfig(schedule=ScheduleSpec(seed=seed, mode=mode))
+        for seed in (1, 2, 3) for mode in ("random_hold", "per_step")]
+    for cfg in configs:
+        trace = run(cfg)
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert back == trace
+        assert all(type(r) is TraceRecord for r in back)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(TRACE_COLUMNS)
 
@@ -288,8 +296,26 @@ def test_rk4_crosscheck_full_horizon(gain_mode):
 
 
 def test_trace_record_fields_match_columns():
-    from dataclasses import fields
-    assert tuple(f.name for f in fields(TraceRecord)) == TRACE_COLUMNS
+    assert TraceRecord._fields == TRACE_COLUMNS
+    # the column contract is spelled out, not derived from the record
+    tree = ast.parse(Path(simulator.__file__).read_text())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["TRACE_COLUMNS"]]
+    assert ast.literal_eval(value) == TRACE_COLUMNS
+
+
+def test_per_step_records_are_read_only():
+    cfg = nominal_config(seed=1)
+    model = discretize(cfg.params, 0.11)
+    terms = law_terms(cfg.initial.as_array(), cfg.desired, model, cfg.gains)
+    out = control_input(terms, model, cfg.gains, 0.0, model.psi)
+    sample = check_conditions(terms, cfg.desired, out.u, model, cfg.gains, out.k_E_used)
+    record = run(cfg)[0]
+    for value, name in ((record, "theta"), (out, "u"), (sample, "V")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+    with pytest.raises(AttributeError):
+        model.h = 0.2
 
 
 def replay(cfg):
@@ -426,9 +452,9 @@ def test_divergence_carries_the_partial_trace():
 
 
 def patch_models(monkeypatch, edit):
-    """Make run use edit(model) for every model discretize_periods builds."""
+    """Make run use edit(stack) for the model stack discretize_periods builds."""
     def edited_periods(p, periods, **kwargs):
-        return [edit(m) for m in discretize_periods(p, periods, **kwargs)]
+        return edit(discretize_periods(p, periods, **kwargs))
 
     monkeypatch.setattr(simulator, "discretize_periods", edited_periods)
 
@@ -440,15 +466,15 @@ def test_overflowing_next_state_raises_with_the_partial_trace(monkeypatch):
                     schedule=ScheduleSpec(h_min=0.1, h_max=0.1, mode="fixed"), duration=1.0)
     scaled = []
 
-    def scale(m):
-        scaled.append(replace(m, F=m.F * 1e300))
+    def scale(stack):
+        scaled.append(replace(stack, F=stack.F * 1e300))
         return scaled[-1]
 
     patch_models(monkeypatch, scale)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError, match="state magnitude exceeded") as excinfo:
             run(cfg)
-        assert np.isinf(scaled[0].F @ cfg.initial.as_array()).any()
+        assert np.isinf(scaled[0][0].F @ cfg.initial.as_array()).any()
     partial = excinfo.value.trace
     assert len(partial) == 1
     assert (partial[0].I, partial[0].omega, partial[0].theta) == (1e9, 1e9, 1e9)
@@ -463,13 +489,11 @@ def test_nan_next_state_raises_with_the_partial_trace(monkeypatch):
     h_bad = next(r.h_k for r in clean if r.h_k != clean[0].h_k)
     k_bad = next(r.k for r in clean if r.h_k == h_bad)
 
-    def poison(m):
-        if m.h != h_bad:
-            return m
-        F = m.F.copy()
-        F[0, 0] = np.nan
-        bad = copy.copy(m)
-        object.__setattr__(bad, "F", F)  # past DiscreteModel's finiteness check
+    def poison(stack):
+        F = stack.F.copy()
+        F[stack.h.tolist().index(h_bad), 0, 0] = np.nan
+        bad = copy.copy(stack)
+        object.__setattr__(bad, "F", F)  # past ModelStack's finiteness check
         return bad
 
     patch_models(monkeypatch, poison)
