@@ -115,25 +115,20 @@ def build_sim_config(file_values: dict[str, str] | None = None,
         raise ConfigError(str(exc)) from exc
 
 
-def config_snapshot(cfg: SimConfig) -> dict[str, object]:
-    """Flat key -> value image of a resolved config, manifest-ready."""
-    snap: dict[str, object] = {"duration": cfg.duration}
+def write_manifest(path, command: str, cfg: SimConfig, seeds: list[int], outputs: list[str],
+                   extra: dict[str, object] | None = None) -> None:
+    """The command's JSON manifest, with cfg as a flat key -> value image."""
+    snapshot: dict[str, object] = {"duration": cfg.duration}
     for section, cls in _SECTIONS.items():
         obj = getattr(cfg, section)
         for f in fields(cls):
-            snap[f"{section}.{f.name}"] = getattr(obj, f.name)
-    return snap
-
-
-def write_manifest(path, command: str, cfg_snapshot: dict[str, object],
-                   seeds: list[int], outputs: list[str],
-                   extra: dict[str, object] | None = None) -> None:
+            snapshot[f"{section}.{f.name}"] = getattr(obj, f.name)
     manifest = {
         "command": command,
         "tool_version": __version__,
         "seeds": seeds,
         "outputs": outputs,
-        "config": cfg_snapshot,
+        "config": snapshot,
     }
     if extra:
         manifest.update(extra)
@@ -186,8 +181,7 @@ def cmd_run(args) -> int:
         trace = exc.trace
         code = EXIT_DIVERGENCE
     write_trace_csv(trace, out)
-    write_manifest(manifest_path, "run", config_snapshot(cfg),
-                   seeds=[cfg.schedule.seed], outputs=[str(out)])
+    write_manifest(manifest_path, "run", cfg, seeds=[cfg.schedule.seed], outputs=[str(out)])
     return code
 
 
@@ -214,8 +208,7 @@ def cmd_compare(args) -> int:
                 print(f"divergence: seed {seed}, {mode} gain: {exc}", file=sys.stderr)
                 write_trace_csv(exc.trace, path)
                 outputs.append(str(path))
-                write_manifest(manifest_path, "compare", config_snapshot(cfg),
-                               seeds=seeds, outputs=outputs)
+                write_manifest(manifest_path, "compare", cfg, seeds=seeds, outputs=outputs)
                 return EXIT_DIVERGENCE
             write_trace_csv(trace, path)
             outputs.append(str(path))
@@ -230,7 +223,7 @@ def cmd_compare(args) -> int:
         for seed, s in rows:
             f.write(",".join([str(seed), *(str(getattr(s, n)) for n in names)]) + "\n")
     outputs.append(str(summary_path))
-    write_manifest(manifest_path, "compare", config_snapshot(cfg), seeds=seeds, outputs=outputs)
+    write_manifest(manifest_path, "compare", cfg, seeds=seeds, outputs=outputs)
     return EXIT_OK
 
 
@@ -244,12 +237,10 @@ def cmd_stability_map(args) -> int:
         raise ConfigError("grid sizes must be >= 1")
     h_values = np.linspace(args.h_min, args.h_max, args.n_h)
     omega_values = np.linspace(args.omega_min, args.omega_max, args.n_omega)
-    grid = stability_map(cfg.params, cfg.gains, h_values, omega_values,
-                         current_I=cfg.initial.current_I, theta=cfg.initial.theta,
-                         desired=cfg.desired)
+    grid = stability_map(cfg, h_values, omega_values)
     out = Path(args.out)
     grid.write_csv(out)
-    write_manifest(out.with_suffix(".manifest.json"), "stability-map", config_snapshot(cfg),
+    write_manifest(out.with_suffix(".manifest.json"), "stability-map", cfg,
                    seeds=[], outputs=[str(out)],
                    extra={"grid": {"h_min": args.h_min, "h_max": args.h_max,
                                    "omega_min": args.omega_min, "omega_max": args.omega_max,

@@ -20,6 +20,8 @@ from .discretizer import DiscreteModel
 from .plant import DesiredState
 
 GAIN_MODES = ("dynamic", "constant")
+# the guard events a control output reports, "none" first
+GUARD_EVENTS = ("none", "energy_floor", "denominator_floor", "gain_fallback")
 
 # smallest sampling period the program accepts (the h -> 0 singularity floor) [s]
 EPS_H = 1e-4
@@ -66,11 +68,14 @@ class ControlOutput(NamedTuple):
 
 
 class LawTerms(NamedTuple):
-    """The pieces of the discrete Lyapunov rate V' at one (state, model) pair,
-    formed once per sample by ``law_terms`` from the matrices and weights the
-    model carries; the control input and every diagnostic of the sample are
-    read from them."""
+    """One sample: its period's model, gains and target, and the pieces of the
+    discrete Lyapunov rate V' at its state, formed once by ``law_terms`` from
+    the matrices and weights the model carries; the control input and every
+    diagnostic of the sample are read from them."""
 
+    model: DiscreteModel
+    gains: GainSet
+    d: DesiredState
     omega: float     # the state's speed and angle
     theta: float
     xd: np.ndarray   # x^T D
@@ -94,6 +99,7 @@ def law_terms(x: np.ndarray, d: DesiredState, model: DiscreteModel, gains: GainS
     xd = x * model.weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
     fmx = float(model.F[1] @ x)
     return LawTerms(
+        model=model, gains=gains, d=d,
         omega=omega,
         theta=theta,
         xd=xd,
@@ -112,8 +118,7 @@ def check_period(h: float) -> None:
         raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {EPS_H}")
 
 
-def _gain_with_event(terms: LawTerms, u_prev: float, model: DiscreteModel,
-                     psi_s: np.ndarray, gains: GainSet) -> tuple[float, bool]:
+def _gain_with_event(terms: LawTerms, u_prev: float, psi_s: np.ndarray) -> tuple[float, bool]:
     """Per-period energy gain k_E(h_k) = k_E_s * E'(h_s)/E'(h_k) + K_c, plus a
     flag for the |E'(h_k)| floor fallback.
 
@@ -123,9 +128,10 @@ def _gain_with_event(terms: LawTerms, u_prev: float, model: DiscreteModel,
     clamped to [K_c, K_E_MAX]; when |E'(h_k)| is below EPS_EPRIME the
     standard gain is returned. In constant mode it is k_E_s.
     """
+    gains = terms.gains
     if gains.gain_mode == "constant":
         return gains.k_E_s, False
-    v = terms.ax + model.B * u_prev
+    v = terms.ax + terms.model.B * u_prev
     e_rate_k = float(terms.w @ v)
     if abs(e_rate_k) < EPS_EPRIME:
         return gains.k_E_s, True
@@ -134,13 +140,12 @@ def _gain_with_event(terms: LawTerms, u_prev: float, model: DiscreteModel,
     return float(min(max(raw, gains.K_c), K_E_MAX)), False
 
 
-def control_input(terms: LawTerms, model: DiscreteModel, gains: GainSet, u_prev: float,
-                  psi_s: np.ndarray) -> ControlOutput:
+def control_input(terms: LawTerms, u_prev: float, psi_s: np.ndarray) -> ControlOutput:
     """Control voltage for the sample whose ``law_terms`` are given, always
-    within +-u_sat.
+    within +-u_sat of the terms' gains.
 
-    The model is the only source of the motor: every term at h_k uses its
-    Psi, A, B and energy weights, and the retune takes psi_s = phi(A h_s)
+    The terms' model is the only source of the motor: every term at h_k uses
+    its Psi, A, B and energy weights, and the retune takes psi_s = phi(A h_s)
     for the standard period. ``k_E_used`` is the retuned gain (k_E_s in
     constant mode). A period below EPS_H raises SamplingTooSmallError.
 
@@ -149,12 +154,13 @@ def control_input(terms: LawTerms, model: DiscreteModel, gains: GainSet, u_prev:
       denominator_floor |den| < EPS_DEN -> hold the previous input
       gain_fallback     retune ratio undefined, standard gain used instead
     """
+    model = terms.model
     check_period(model.h)
-    k_E, fallback = _gain_with_event(terms, u_prev, model, psi_s, gains)
+    k_E, fallback = _gain_with_event(terms, u_prev, psi_s)
     if terms.E <= EPS_C:
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")
 
-    u_sat = gains.u_sat
+    u_sat = terms.gains.u_sat
     den = k_E * terms.E * float(terms.w @ model.B)
     if abs(den) < EPS_DEN:
         u = float(min(max(u_prev, -u_sat), u_sat))

@@ -22,6 +22,10 @@ from .matseries import phi
 
 FIDELITIES = ("corrected", "paper_literal")
 
+# any state component beyond this magnitude aborts a run, and no initial or
+# desired state or stability-map omega may lie beyond it
+DIVERGENCE_LIMIT = 1e9
+
 
 @dataclass(frozen=True)
 class MotorParams:

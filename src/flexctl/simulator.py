@@ -25,15 +25,11 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .controller import GainSet, control_input, law_terms
+from .controller import GUARD_EVENTS, GainSet, control_input, law_terms
 from .discretizer import discretize_periods
-from .plant import DesiredState, MotorParams, PlantState, continuous_matrices
+from .plant import DIVERGENCE_LIMIT, DesiredState, MotorParams, PlantState, continuous_matrices
 from .scheduler import Scheduler, ScheduleSpec
 from .stability import check_conditions
-
-# any state component beyond this magnitude aborts the run, and no initial or
-# desired state may start beyond it
-DIVERGENCE_LIMIT = 1e9
 
 TRACE_COLUMNS = ("k", "t", "h_k", "I", "omega", "theta", "u", "E", "k_E",
                  "V", "V_prime", "saturated", "guard_event", "V1_ok", "V2_ok", "cond_main")
@@ -111,7 +107,6 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     models = dict(zip(distinct, stack))
     psi_s = stack.psi[-1]
 
-    d, gains = cfg.desired, cfg.gains
     x0 = cfg.initial
     xv = x0.as_array()
     I, omega, theta = x0.current_I, x0.omega, x0.theta
@@ -120,9 +115,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
     records: list[TraceRecord] = []
     for k, h in enumerate(periods):
         model = models[h]
-        terms = law_terms(xv, d, model, gains)
-        out = control_input(terms, model, gains, u_prev, psi_s)
-        sample = check_conditions(terms, d, out.u, model, gains, out.k_E_used)
+        terms = law_terms(xv, cfg.desired, model, cfg.gains)
+        out = control_input(terms, u_prev, psi_s)
+        sample = check_conditions(terms, out.u, out.k_E_used)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=I, omega=omega, theta=theta,
             u=out.u, E=terms.E, k_E=out.k_E_used,
@@ -209,16 +204,47 @@ def write_trace_csv(trace: list[TraceRecord], path) -> None:
         f.writelines(_ROW_FORMAT % r for r in trace)
 
 
+def _parse_flag(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {raw!r}")
+    return raw == "1"
+
+
+def _parse_event(raw: str) -> str:
+    if raw not in GUARD_EVENTS:
+        raise ValueError(f"expected one of {', '.join(GUARD_EVENTS)}, got {raw!r}")
+    return raw
+
+
+# guard_event is the one str column
+_CELL_PARSERS = {int: int, float: float, bool: _parse_flag, str: _parse_event}
+
+
 def read_trace_csv(path) -> list[TraceRecord]:
-    """Inverse of write_trace_csv."""
-    parsers = {int: int, float: float, bool: lambda raw: raw == "1", str: str}
-    converters = {name: parsers[kind] for name, kind in _COLUMN_TYPES.items()}
+    """Inverse of write_trace_csv. A cell the writer never produces (a flag
+    other than 0/1, an unknown guard event, a malformed number) raises
+    ValueError naming its line and column, and a row of the wrong length
+    one naming its line."""
+    converters = {name: _CELL_PARSERS[kind] for name, kind in _COLUMN_TYPES.items()}
+    records = []
     with Path(path).open(newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {reader.fieldnames}")
-        return [TraceRecord(**{name: conv(row[name]) for name, conv in converters.items()})
-                for row in reader]
+        for row in reader:
+            # DictReader keys extra cells by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(TRACE_COLUMNS)} cells")
+            values = {}
+            for name, conv in converters.items():
+                try:
+                    values[name] = conv(row[name])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}, column {name}: {exc}") from None
+            records.append(TraceRecord(**values))
+    return records
 
 
 def rk4_crosscheck(cfg: SimConfig, trace: list[TraceRecord], t_end: float | None = None,

@@ -9,21 +9,24 @@ and the worst-component margin is reported so weaker readings stay possible.
 
 The per-sample diagnostics (``v_prime``, ``check_conditions``) take the
 sample's ``controller.law_terms``, the terms the control input is solved
-from, and read the motor from the period's DiscreteModel alone; only
-``stability_map``, which builds its models, takes the motor parameters.
+from, and read the model, gains and target from them; ``stability_map``,
+which builds its models, takes the whole SimConfig.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .controller import GainSet, LawTerms, check_period
-from .discretizer import DiscreteModel, discretize_periods
-from .plant import DesiredState, MotorParams
+from .discretizer import discretize_periods
+from .plant import DIVERGENCE_LIMIT, DesiredState
+
+if TYPE_CHECKING:
+    from .simulator import SimConfig
 
 
 class LyapunovSample(NamedTuple):
@@ -74,14 +77,14 @@ def lyapunov(omega: float, theta: float, d: DesiredState, E: float, gains: GainS
             + 0.5 * gains.k_P * (theta - d.theta_d) ** 2)
 
 
-def v_prime(terms: LawTerms, u: float, model: DiscreteModel, k_E_used: float) -> float:
+def v_prime(terms: LawTerms, u: float, k_E_used: float) -> float:
     """Discrete forward Lyapunov rate.
 
     V' = k_E E_k [x^T D phi(A h)(A x + B u)]
          + (k_D/h)(omega - omega_d)(F_m x - omega)
          + k_P (theta - theta_d) omega
     """
-    return terms.rate(k_E_used, terms.ax + model.B * u)
+    return terms.rate(k_E_used, terms.ax + terms.model.B * u)
 
 
 def v1_margin(omega, theta, d: DesiredState, h: float, gains: GainSet, fmx):
@@ -93,15 +96,14 @@ def v1_margin(omega, theta, d: DesiredState, h: float, gains: GainSet, fmx):
             - gains.k_D / h * (omega - d.omega_d) * (-fmx - omega))
 
 
-def check_conditions(terms: LawTerms, d: DesiredState, u: float, model: DiscreteModel,
-                     gains: GainSet, k_E_used: float) -> LyapunovSample:
+def check_conditions(terms: LawTerms, u: float, k_E_used: float) -> LyapunovSample:
     """Evaluate every stability diagnostic at one sample from its law terms,
-    with the motor (A, B, Psi and the energy weights) taken from the model."""
-    omega, theta = terms.omega, terms.theta
-    closed = terms.ax + model.B * u   # B u + A x
+    which carry its model (A, B, Psi and the energy weights), gains and target."""
+    omega, theta, d, gains = terms.omega, terms.theta, terms.d, terms.gains
+    closed = terms.ax + terms.model.B * u   # B u + A x
     hi, lo = float(closed.max()), float(closed.min())  # NaN if any component is NaN
     Vp = terms.rate(k_E_used, closed)
-    v1 = v1_margin(omega, theta, d, model.h, gains, terms.fmx)
+    v1 = v1_margin(omega, theta, d, terms.model.h, gains, terms.fmx)
     low = gains.k_D * (omega - d.omega_d) * (terms.fmx - omega)
 
     return LyapunovSample(
@@ -117,23 +119,23 @@ def check_conditions(terms: LawTerms, d: DesiredState, u: float, model: Discrete
     )
 
 
-def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
-                  current_I: float = 0.4, theta: float = 0.1,
-                  desired: DesiredState = DesiredState()) -> StabilityGrid:
-    """V1 margin over an (h, |omega|) grid at constant current and angle.
+def stability_map(cfg: SimConfig, h_values, omega_values) -> StabilityGrid:
+    """V1 margin over an (h, |omega|) grid at cfg's initial current and angle.
 
-    Every h must be at least the sampling floor EPS_H. All h
-    rows are discretized in one stacked series evaluation (one ModelStack);
-    each row is then one `v1_margin` over all the omega values, so every
-    cell has the bits of the margin `check_conditions` reports at that
-    state.
+    Every h must be at least the sampling floor EPS_H, and every omega finite
+    and within +-DIVERGENCE_LIMIT, as every state of cfg is. All h rows are
+    discretized in one stacked series evaluation (one ModelStack); each row
+    is then one `v1_margin` over all the omega values, so every cell has the
+    bits of the margin `check_conditions` reports at that state.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
     if h_values.size == 0 or omega_values.size == 0:
         raise ValueError("grid axes must be non-empty")
-    if not (np.isfinite(omega_values).all() and np.isfinite(current_I) and np.isfinite(theta)):
-        raise ValueError("state entries must be finite")
+    # false for NaN as well as for inf or a magnitude beyond the limit
+    if not (np.abs(omega_values) <= DIVERGENCE_LIMIT).all():
+        raise ValueError(f"omega values must be finite and within +-{DIVERGENCE_LIMIT:.0e}"
+                         " (the divergence limit)")
     periods = h_values.tolist()
     for h in periods:
         check_period(h)
@@ -141,12 +143,12 @@ def stability_map(p: MotorParams, gains: GainSet, h_values, omega_values,
     # the states as a stack of 1x3 rows: matmul with the 3x1 column F_m then
     # rounds each F_m x as the 3-element product of law_terms does
     X = np.empty((omega_values.size, 1, 3))
-    X[:, 0, 0] = current_I
+    X[:, 0, 0] = cfg.initial.current_I
     X[:, 0, 1] = omega_values
-    X[:, 0, 2] = theta
-    stack = discretize_periods(p, periods)
+    X[:, 0, 2] = cfg.initial.theta
+    stack = discretize_periods(cfg.params, periods)
     margins = np.empty((h_values.size, omega_values.size))
     for i, (h, Fm) in enumerate(zip(stack.h.tolist(), stack.F[:, 1, :, None])):
         fmx = np.matmul(X, Fm)[:, 0, 0]
-        margins[i] = v1_margin(omega_values, theta, desired, h, gains, fmx)
+        margins[i] = v1_margin(omega_values, cfg.initial.theta, cfg.desired, h, cfg.gains, fmx)
     return StabilityGrid(axis1_values=h_values, axis2_values=omega_values, margins=margins)

@@ -120,11 +120,11 @@ def test_criterion_03_controller_closure():
         model = discretize(P, h)
         xv = x.as_array()
         terms = law_terms(xv, DES, model, GAINS)
-        out = control_input(terms, model, GAINS, u_prev, phi(model.A * GAINS.h_s))
+        out = control_input(terms, u_prev, phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        vp = v_prime(terms, out.u, model, out.k_E_used)
+        vp = v_prime(terms, out.u, out.k_E_used)
         t1 = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
         t2 = GAINS.k_D / h * (x.omega - DES.omega_d) * (float(model.F[1] @ xv) - x.omega)
         t3 = GAINS.k_P * (x.theta - DES.theta_d) * x.omega
@@ -208,8 +208,9 @@ def test_criterion_08_byte_identical_traces(tmp_path):
 def test_criterion_09_stability_map_kp_ordering():
     h_vals = np.linspace(0.01, 0.3, 50)
     om_vals = np.linspace(0.0, 10.0, 50)
-    hi = stability_map(P, GAINS, h_vals, om_vals).stable_count()
-    lo = stability_map(P, replace(GAINS, k_P=50.0), h_vals, om_vals).stable_count()
+    cfg = SimConfig(params=P, gains=GAINS)
+    hi = stability_map(cfg, h_vals, om_vals).stable_count()
+    lo = stability_map(replace(cfg, gains=replace(GAINS, k_P=50.0)), h_vals, om_vals).stable_count()
     ok = hi >= lo
     detail = f"stable cells: k_P=565 -> {hi}, k_P=50 -> {lo} (default 50x50 grid)"
     assert report("criterion 9 (stability map)", ok, detail), detail

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 
 from flexctl import cli
-from flexctl.controller import GainSet
-from flexctl.plant import DesiredState, MotorParams
+from flexctl.plant import PlantState
 from flexctl.scheduler import ScheduleSpec
 from flexctl.simulator import TRACE_COLUMNS, DivergenceError, SimConfig, read_trace_csv, run
 from flexctl.stability import stability_map
@@ -293,11 +293,52 @@ def test_stability_map_takes_its_state_from_the_initial_config(tmp_path):
     (tmp_path / "state.cfg").write_text("initial.theta = 1.9\ninitial.current_I = 3.0\n")
     res = flexctl(["stability-map", "--config", "state.cfg", "--out", "map.csv"], tmp_path)
     assert res.returncode == 0, res.stderr
-    grid = stability_map(MotorParams(), GainSet(), np.linspace(0.01, 0.3, 50),
-                         np.linspace(0.0, 10.0, 50), current_I=3.0, theta=1.9,
-                         desired=DesiredState())
+    cfg = SimConfig(initial=PlantState(current_I=3.0, omega=SimConfig().initial.omega, theta=1.9))
+    grid = stability_map(cfg, np.linspace(0.01, 0.3, 50), np.linspace(0.0, 10.0, 50))
     grid.write_csv(tmp_path / "want.csv")
     assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bound", ["--omega-max=1e300", "--omega-min=-1e10"])
+def test_stability_map_omega_beyond_the_divergence_limit_is_usage_error(tmp_path, bound):
+    res = flexctl(["stability-map", bound, "--out", "map.csv"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "finite" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "map.csv").exists()
+
+
+# SHA-256 of each output below, as written before the map took its SimConfig
+# (numpy 2.x with its bundled OpenBLAS on x86-64); a different BLAS build may
+# round differently.
+GOLDEN_OUTPUT_SHA256 = {
+    "map_default": "0c7dbf6f12ea3b0bad95706a88a3e9c09d94413f3b35fde0b477cacffd7c578d",
+    "map_kp50_kd05": "fbe52c5f9829768336af4287c9e3ebb8455d21bed6d092437fb5e0813c215683",
+    "map_17x23": "e80330e1c33d501b0ded1c7767a76ca68cb89818e22a824ebdde4a34dfb6b44f",
+    "compare_summary": "67dc4690c7bfcf2e7609f1411fcfd8e5004e8a8a457a85eabf268e7202caf4f4",
+}
+GOLDEN_OUTPUT_COMMANDS = {
+    "map_default": (["stability-map", "--out", "out.csv"], "out.csv"),
+    "map_kp50_kd05": (["stability-map", "--kp", "50", "--kd", "0.5", "--out", "out.csv"],
+                      "out.csv"),
+    # negative omega, and a current, angle and target of the config's own
+    "map_17x23": (["stability-map", "--config", "state.cfg", "--n-h", "17", "--n-omega", "23",
+                   "--h-min", "0.02", "--h-max", "0.25", "--omega-min=-7.5",
+                   "--omega-max", "4.0", "--out", "out.csv"], "out.csv"),
+    "compare_summary": (["compare", "--seeds", "1..3", "--out", "cmp"], "cmp/summary.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT_SHA256))
+def test_output_bytes_match_the_golden_digest(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("FLEXCTL_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.cfg").write_text(
+        "initial.theta = -0.35\ninitial.current_I = 0.9\ndesired.theta_d = 1.5\n")
+    argv, output = GOLDEN_OUTPUT_COMMANDS[name]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+    assert digest == GOLDEN_OUTPUT_SHA256[name]
 
 
 def test_stability_map_manifest_keeps_the_schedule(tmp_path):

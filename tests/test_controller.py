@@ -1,10 +1,14 @@
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flexctl.controller import (ControlOutput, GainSet, SamplingTooSmallError, control_input,
-                                law_terms)
+from flexctl import controller
+from flexctl.controller import (GUARD_EVENTS, ControlOutput, GainSet, SamplingTooSmallError,
+                                control_input, law_terms)
 from flexctl.discretizer import discretize
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
@@ -19,7 +23,7 @@ X0 = PlantState(0.4, 5.0, 0.1)
 
 def control(x, model, u_prev, gains=GAINS, d=DES):
     """control_input at the PlantState x, with psi_s = phi(A h_s) built here."""
-    return control_input(law_terms(x.as_array(), d, model, gains), model, gains, u_prev,
+    return control_input(law_terms(x.as_array(), d, model, gains), u_prev,
                          phi(model.A * gains.h_s))
 
 
@@ -71,11 +75,11 @@ def test_closure_identity_on_random_states():
         model = discretize(P, h)
         xv = x.as_array()
         terms = law_terms(xv, DES, model, GAINS)
-        out = control_input(terms, model, GAINS, u_prev, phi(model.A * GAINS.h_s))
+        out = control_input(terms, u_prev, phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        vp = v_prime(terms, out.u, model, out.k_E_used)
+        vp = v_prime(terms, out.u, out.k_E_used)
         f_m = model.F[1]
         t1 = out.k_E_used * energy(x, P) * energy_rate(x, out.u, h, P)
         t2 = GAINS.k_D / h * (x.omega - DES.omega_d) * (float(f_m @ xv) - x.omega)
@@ -94,12 +98,11 @@ def test_law_reads_the_motor_from_its_model():
         h = float(rng.uniform(0.05, 0.2))
         model = discretize(p2, h)
         terms = law_terms(x.as_array(), DES, model, GAINS)
-        out = control_input(terms, model, GAINS, float(rng.uniform(-45, 45)),
-                            phi(model.A * GAINS.h_s))
+        out = control_input(terms, float(rng.uniform(-45, 45)), phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        sample = check_conditions(terms, DES, out.u, model, GAINS, out.k_E_used)
+        sample = check_conditions(terms, out.u, out.k_E_used)
         assert sample.V == lyapunov(x.omega, x.theta, DES, energy(x, p2), GAINS, out.k_E_used)
         assert sample.V != lyapunov(x.omega, x.theta, DES, energy(x, P), GAINS, out.k_E_used)
 
@@ -170,6 +173,36 @@ def test_determinism():
     b = control(X0, model, 1.25)
     assert a == b
     assert isinstance(a, ControlOutput)
+
+
+def test_law_terms_carry_their_sample():
+    model = discretize(P, 0.13)
+    gains, d = GainSet(k_P=50.0), DesiredState(theta_d=-1.0)
+    terms = law_terms(X0.as_array(), d, model, gains)
+    assert terms.model is model and terms.gains is gains and terms.d is d
+
+
+def test_no_call_takes_law_terms_beside_their_context():
+    # a per-sample call reads the model, gains and target from the terms
+    package = Path(controller.__file__).parent
+    context = {"DiscreteModel", "GainSet", "DesiredState"}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kinds = {ast.unparse(a.annotation) for a in fn.args.args if a.annotation}
+                if "LawTerms" in kinds and kinds & context:
+                    offenders.append(f"{path.name}:{fn.name}")
+    assert offenders == []
+
+
+def test_guard_events_are_the_ones_the_law_reports():
+    # every guard_event= the controller passes is a literal of GUARD_EVENTS
+    tree = ast.parse(inspect.getsource(controller))
+    reported = {node.value for kw in ast.walk(tree)
+                if isinstance(kw, ast.keyword) and kw.arg == "guard_event"
+                for node in ast.walk(kw.value) if isinstance(node, ast.Constant)}
+    assert reported == set(GUARD_EVENTS)
 
 
 def test_gain_and_guard_validation():

@@ -151,6 +151,37 @@ def test_trace_csv_roundtrip(tmp_path):
     assert header == ",".join(TRACE_COLUMNS)
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("saturated", "yes"),
+    ("V1_ok", "2"),
+    ("cond_main", ""),
+    ("guard_event", "bogus_event"),
+    ("k", "1.5"),
+])
+def test_trace_csv_rejects_a_cell_the_writer_never_writes(tmp_path, column, cell):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(nominal_config(seed=0, duration=1.0)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[3].rstrip("\n").split(",")
+    cells[TRACE_COLUMNS.index(column)] = cell
+    lines[3] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"line 4, column {column}: .*{cell!r}"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0]],
+                         ids=["extra_cell", "missing_cell"])
+def test_trace_csv_rejects_a_row_of_the_wrong_length(tmp_path, edit):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(nominal_config(seed=0, duration=1.0)), path)
+    lines = path.read_text().splitlines()
+    lines[3] = edit(lines[3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4: expected 16 cells"):
+        read_trace_csv(path)
+
+
 def format_cell_reference(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -308,8 +339,8 @@ def test_per_step_records_are_read_only():
     cfg = nominal_config(seed=1)
     model = discretize(cfg.params, 0.11)
     terms = law_terms(cfg.initial.as_array(), cfg.desired, model, cfg.gains)
-    out = control_input(terms, model, cfg.gains, 0.0, model.psi)
-    sample = check_conditions(terms, cfg.desired, out.u, model, cfg.gains, out.k_E_used)
+    out = control_input(terms, 0.0, model.psi)
+    sample = check_conditions(terms, out.u, out.k_E_used)
     record = run(cfg)[0]
     for value, name in ((record, "theta"), (out, "u"), (sample, "V")):
         with pytest.raises(AttributeError):
@@ -333,8 +364,8 @@ def replay(cfg):
         assert energy_rate(state, u_prev, model.h, p) == float(
             xv * energy_weights(p) @ model.psi @ (model.A @ xv + model.B * u_prev))
         terms = law_terms(xv, cfg.desired, model, cfg.gains)
-        out = control_input(terms, model, cfg.gains, u_prev, phi(model.A * cfg.gains.h_s))
-        sample = check_conditions(terms, cfg.desired, out.u, model, cfg.gains, out.k_E_used)
+        out = control_input(terms, u_prev, phi(model.A * cfg.gains.h_s))
+        sample = check_conditions(terms, out.u, out.k_E_used)
         records.append(TraceRecord(
             k=k, t=t, h_k=h, I=state.current_I, omega=state.omega, theta=state.theta,
             u=out.u, E=energy(state, p), k_E=out.k_E_used, V=sample.V, V_prime=sample.V_prime,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flexctl.controller import GainSet, SamplingTooSmallError, control_input, law_terms
+from flexctl.controller import EPS_H, GainSet, SamplingTooSmallError, control_input, law_terms
 from flexctl.discretizer import discretize, discretize_periods
 from flexctl.matseries import phi
 from flexctl.plant import (DesiredState, MotorParams, PlantState, continuous_matrices,
@@ -35,6 +35,13 @@ def v_prime_oracle(x, d, u, h, gains, k_E, p):
 def terms_at(x, model, d=DES, gains=GAINS):
     """The law terms at the PlantState x."""
     return law_terms(x.as_array(), d, model, gains)
+
+
+def map_config(gains=GAINS, d=DES, current_I=0.4, theta=0.1):
+    """The SimConfig a map reads: motor P, the gains and target, and its
+    initial current and angle."""
+    return SimConfig(params=P, gains=gains, desired=d,
+                     initial=PlantState(current_I, SimConfig().initial.omega, theta))
 
 
 def margin_at(x, d, model, gains):
@@ -72,7 +79,7 @@ def test_lyapunov_nonnegative():
 
 def test_v_prime_zero_case():
     model = discretize(P, 0.11)
-    got = v_prime(terms_at(PlantState(0, 0, 0), model, d=DesiredState(theta_d=0.0)), 0.0, model,
+    got = v_prime(terms_at(PlantState(0, 0, 0), model, d=DesiredState(theta_d=0.0)), 0.0,
                   725.0)
     assert got == 0.0
 
@@ -80,7 +87,7 @@ def test_v_prime_zero_case():
 def test_v_prime_double_entry_oracle():
     model = discretize(P, 0.11)
     x = PlantState(0.4, 5.0, 0.1)
-    got = v_prime(terms_at(x, model), 0.0, model, 1335.0)
+    got = v_prime(terms_at(x, model), 0.0, 1335.0)
     want = v_prime_oracle(x, DES, 0.0, 0.11, GAINS, 1335.0, P)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -92,12 +99,11 @@ def test_v_prime_closure_with_control_input():
         x = PlantState(*rng.uniform(-10, 10, size=3))
         model = discretize(P, float(rng.uniform(0.05, 0.2)))
         terms = terms_at(x, model)
-        out = control_input(terms, model, GAINS, float(rng.uniform(-45, 45)),
-                            phi(model.A * GAINS.h_s))
+        out = control_input(terms, float(rng.uniform(-45, 45)), phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         checked += 1
-        assert abs(v_prime(terms, out.u, model, out.k_E_used)) < 1e-6
+        assert abs(v_prime(terms, out.u, out.k_E_used)) < 1e-6
 
 
 def test_one_law_across_entry_points():
@@ -113,15 +119,15 @@ def test_one_law_across_entry_points():
         k_E = float(rng.uniform(GAINS.K_c, 2000.0))
         model = discretize(P, h)
         terms = terms_at(x, model)
-        s = check_conditions(terms, DES, u, model, GAINS, k_E)
-        assert s.V_prime == v_prime(terms, u, model, k_E)
+        s = check_conditions(terms, u, k_E)
+        assert s.V_prime == v_prime(terms, u, k_E)
         assert s.v1_margin == margin_at(x, DES, model, GAINS)
-        out = control_input(terms, model, GAINS, u, phi(model.A * GAINS.h_s))
+        out = control_input(terms, u, phi(model.A * GAINS.h_s))
         if out.saturated or out.guard_event != "none":
             continue
         closed += 1
-        vp = check_conditions(terms, DES, out.u, model, GAINS, out.k_E_used).V_prime
-        assert vp == v_prime(terms, out.u, model, out.k_E_used)
+        vp = check_conditions(terms, out.u, out.k_E_used).V_prime
+        assert vp == v_prime(terms, out.u, out.k_E_used)
         assert abs(vp) < 1e-6
     assert closed >= 100
 
@@ -137,14 +143,14 @@ def test_v_prime_approximates_forward_difference():
         x1 = PlantState.from_array(m.F @ x.as_array() + m.G * u)
         V0 = lyapunov(x.omega, x.theta, DES, energy(x, P), GAINS, k_E)
         V1 = lyapunov(x1.omega, x1.theta, DES, energy(x1, P), GAINS, k_E)
-        residuals.append(abs(v_prime(terms_at(x, m), u, m, k_E) - (V1 - V0) / h))
+        residuals.append(abs(v_prime(terms_at(x, m), u, k_E) - (V1 - V0) / h))
     assert residuals[0] > residuals[1] > residuals[2]
 
 
 def test_check_conditions_rest_at_desired():
     model = discretize(P, 0.11)
     d = DesiredState(theta_d=0.0)
-    s = check_conditions(terms_at(PlantState(0, 0, 0), model, d=d), d, 0.0, model, GAINS, 725.0)
+    s = check_conditions(terms_at(PlantState(0, 0, 0), model, d=d), 0.0, 725.0)
     assert s.V == 0.0
     assert s.V_prime == 0.0
     assert s.condition_main and s.V1_ok and s.V2_ok
@@ -155,8 +161,7 @@ def test_check_conditions_rest_at_desired():
 
 def test_check_conditions_sample_fields():
     model = discretize(P, 0.11)
-    s = check_conditions(terms_at(PlantState(0.4, 5.0, 0.1), model), DES, 3.0, model, GAINS,
-                         1335.0)
+    s = check_conditions(terms_at(PlantState(0.4, 5.0, 0.1), model), 3.0, 1335.0)
     assert s.V >= 0.0
     assert s.V1_ok == (s.v1_margin <= 0.0)
     # V2 and the high-boundary test are opposite inequalities on B u + A x
@@ -173,7 +178,7 @@ def test_v1_and_v2_do_not_imply_a_decreasing_v():
     x = PlantState(-2.738, -29.12, 2.257)
     h, u = 0.0525, -33.71
     model = discretize(P, h)
-    s = check_conditions(terms_at(x, model), DES, u, model, GAINS, GAINS.k_E_s)
+    s = check_conditions(terms_at(x, model), u, GAINS.k_E_s)
     assert s.V1_ok and s.V2_ok
     assert not s.condition_main
     assert s.V_prime == pytest.approx(22_730.6, rel=1e-5)
@@ -203,7 +208,7 @@ def test_sign_flags_equal_the_componentwise_reductions():
     for x, u in sign_samples():
         with np.errstate(invalid="ignore"):  # 0 * inf in B u
             closed = A @ x.as_array() + B * u
-            s = check_conditions(terms_at(x, model), DES, u, model, GAINS, 725.0)
+            s = check_conditions(terms_at(x, model), u, 725.0)
         zero_components += int(np.sum(closed == 0.0))
         assert s.V2_ok == bool((closed <= 0.0).all()), (x, u)
         assert s.boundary_high_ok == bool((-closed <= 0.0).all()), (x, u)
@@ -256,7 +261,7 @@ def adversarial_run(gains, objective, duration=10.0):
     while t < duration:
         best = None
         for model in ADVERSARY_MODELS:
-            out = control_input(terms_at(x, model, gains=gains), model, gains, u_prev, psi_s)
+            out = control_input(terms_at(x, model, gains=gains), u_prev, psi_s)
             nxt = PlantState.from_array(model.F @ x.as_array() + model.G * out.u)
             if objective == "V":
                 score = lyapunov(nxt.omega, nxt.theta, DES, energy(nxt, P), gains, out.k_E_used)
@@ -297,7 +302,7 @@ def test_adversarial_switching_stays_bounded_and_parks(gain_mode, objective):
 
 
 def test_stability_map_single_cell_at_rest():
-    grid = stability_map(P, GAINS, [0.11], [0.0])
+    grid = stability_map(map_config(), [0.11], [0.0])
     assert grid.margins.shape == (1, 1)
     assert grid.margins[0, 0] == 0.0
     assert grid.stable_count() == 1
@@ -306,8 +311,8 @@ def test_stability_map_single_cell_at_rest():
 def test_stability_map_monotone_in_kp():
     h_vals = np.linspace(0.01, 0.3, 8)
     om_vals = np.linspace(0.0, 10.0, 8)
-    hi = stability_map(P, GAINS, h_vals, om_vals)
-    lo = stability_map(P, replace(GAINS, k_P=50.0), h_vals, om_vals)
+    hi = stability_map(map_config(), h_vals, om_vals)
+    lo = stability_map(map_config(replace(GAINS, k_P=50.0)), h_vals, om_vals)
     # constant theta = 0.1 < theta_d: (theta - theta_d) * omega <= 0 on the grid
     assert np.all(hi.margins <= lo.margins + 1e-12)
     assert hi.stable_count() >= lo.stable_count()
@@ -339,7 +344,7 @@ MAP_CASES = [
 @pytest.mark.parametrize("case", range(len(MAP_CASES)))
 def test_stability_map_matches_per_cell_v1_margin(case):
     gains, d, cur, th, h_vals, om_vals = MAP_CASES[case]
-    grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=d)
+    grid = stability_map(map_config(gains, d, cur, th), h_vals, om_vals)
     want = stability_map_reference(P, gains, h_vals, om_vals, cur, th, d)
     assert np.array_equal(grid.margins, want)
 
@@ -354,7 +359,7 @@ def test_stability_map_rows_are_quadratics_in_omega(k_P):
     cur, th = 0.4, 0.1
     h_vals, om_vals = np.linspace(0.01, 0.3, 50), np.linspace(0.0, 10.0, 50)
     assert DES.omega_d == 0.0
-    grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=DES)
+    grid = stability_map(map_config(gains, DES, cur, th), h_vals, om_vals)
     fm = np.array([discretize(P, float(h)).F[1] for h in h_vals])
     kd_h = gains.k_D / h_vals
     a = kd_h * (1.0 + fm[:, 1])
@@ -376,7 +381,7 @@ def write_map_csv_reference(grid, path):
 
 def test_stability_map_csv_matches_reference_writer(tmp_path):
     for case, (gains, d, cur, th, h_vals, om_vals) in enumerate(MAP_CASES):
-        grid = stability_map(P, gains, h_vals, om_vals, current_I=cur, theta=th, desired=d)
+        grid = stability_map(map_config(gains, d, cur, th), h_vals, om_vals)
         got, want = tmp_path / f"{case}.csv", tmp_path / f"{case}.ref.csv"
         grid.write_csv(got)
         write_map_csv_reference(grid, want)
@@ -387,15 +392,30 @@ def test_stability_map_csv_matches_reference_writer(tmp_path):
     {"omega_values": [0.0, np.nan]},
     {"current_I": np.inf},
     {"theta": np.nan},
+    # beyond the divergence limit, where the margins overflowed
+    {"omega_values": [0.0, 1e300]},
+    {"omega_values": [-1.0000001e9, 0.0]},
 ])
 def test_stability_map_non_finite_state_rejected(state):
-    kwargs = {"omega_values": [0.0, 1.0], **state}
+    omega_values = state.get("omega_values", [0.0, 1.0])
+    initial = {k: v for k, v in state.items() if k != "omega_values"}
     with pytest.raises(ValueError, match="finite"):
-        stability_map(P, GAINS, [0.11], **kwargs)
+        # the map's current and angle come from a PlantState, which rejects these
+        cfg = replace(SimConfig(), initial=replace(SimConfig().initial, **initial))
+        stability_map(cfg, [0.11], omega_values)
+
+
+def test_stability_map_omega_at_the_divergence_limit_is_finite():
+    # the extreme state the config admits: every margin finite, no overflow
+    # warning (pytest makes a RuntimeWarning an error)
+    cfg = replace(SimConfig(), initial=PlantState(-1e9, 1e9, 1e9),
+                  desired=DesiredState(theta_d=-1e9, omega_d=1e9))
+    grid = stability_map(cfg, [EPS_H, 0.11, 100.0], [-1e9, 0.0, 1e9])
+    assert np.isfinite(grid.margins).all()
 
 
 def test_stability_map_export(tmp_path):
-    grid = stability_map(P, GAINS, np.linspace(0.05, 0.2, 4), np.linspace(0.0, 5.0, 6))
+    grid = stability_map(map_config(), np.linspace(0.05, 0.2, 4), np.linspace(0.0, 5.0, 6))
     out = tmp_path / "grid.csv"
     grid.write_csv(out)
     lines = out.read_text().splitlines()
@@ -405,9 +425,9 @@ def test_stability_map_export(tmp_path):
 
 def test_stability_map_empty_axis_rejected():
     with pytest.raises(ValueError):
-        stability_map(P, GAINS, [], [0.0])
+        stability_map(map_config(), [], [0.0])
 
 
 def test_stability_map_h_below_floor_rejected():
     with pytest.raises(SamplingTooSmallError):
-        stability_map(P, GAINS, [1e-6], [0.0])
+        stability_map(map_config(), [1e-6], [0.0])
