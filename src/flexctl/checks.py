@@ -7,7 +7,8 @@ Each oracle reaches scipy through one stacked `expm` call per batch (all
 quadrature nodes of one integral, all matrices of the exponential check,
 all periods of the discretize check); scipy runs the same per-slice code
 for a stack as for a single matrix, so every slice has the bits of the
-single call.
+single call. scipy is imported by the first oracle call, so the commands
+that never validate do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .discretizer import discretize_periods
 from .matseries import DEFAULT_TOL, phi
@@ -31,6 +31,13 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_error <= self.tolerance
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's exponential of a matrix or a (k, n, n) stack: the oracle."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def _max_norm(M) -> float:

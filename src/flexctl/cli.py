@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -117,12 +118,19 @@ def build_sim_config(file_values: dict[str, str] | None = None,
 
 def write_manifest(path, command: str, cfg: SimConfig, seeds: list[int], outputs: list[str],
                    extra: dict[str, object] | None = None) -> None:
-    """The command's JSON manifest, with cfg as a flat key -> value image."""
+    """The command's JSON manifest, with cfg as a flat key -> value image.
+
+    A non-finite float (`gains.u_sat = inf`) is written as its `repr`
+    string, the spelling a config file reads back; JSON has no such number.
+    """
     snapshot: dict[str, object] = {"duration": cfg.duration}
     for section, cls in _SECTIONS.items():
         obj = getattr(cfg, section)
         for f in fields(cls):
-            snapshot[f"{section}.{f.name}"] = getattr(obj, f.name)
+            value = getattr(obj, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                value = repr(value)
+            snapshot[f"{section}.{f.name}"] = value
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -132,7 +140,7 @@ def write_manifest(path, command: str, cfg: SimConfig, seeds: list[int], outputs
     }
     if extra:
         manifest.update(extra)
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -308,6 +308,15 @@ def test_stability_map_omega_beyond_the_divergence_limit_is_usage_error(tmp_path
     assert not (tmp_path / "map.csv").exists()
 
 
+def test_stability_map_takes_negative_exponent_bounds_in_the_equals_form(tmp_path):
+    # argparse before Python 3.13 reads `--omega-min -1e3` as a missing value
+    res = flexctl(["stability-map", "--omega-min=-1e3", "--omega-max=-1e2",
+                   "--n-h", "3", "--n-omega", "4", "--out", "map.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows[:4]] == [-1000.0, -700.0, -400.0, -100.0]
+
+
 # SHA-256 of each output below, as written before the map took its SimConfig
 # (numpy 2.x with its bundled OpenBLAS on x86-64); a different BLAS build may
 # round differently.
@@ -408,3 +417,29 @@ def test_output_reproducible_from_manifest(tmp_path):
     res = flexctl(["run", "--config", "replay.cfg", "--out", "replay.csv"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "orig.csv").read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def test_manifest_with_unsaturated_gain_is_strict_json(tmp_path):
+    (tmp_path / "nosat.cfg").write_text("gains.u_sat = inf\n")
+    res = flexctl(["run", "--config", "nosat.cfg", "--duration", "2", "--out", "orig.csv"],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((tmp_path / "orig.manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["config"]["gains.u_sat"] == "inf"
+    # the manifest's spelling reads back as the same config
+    cfg_lines = "\n".join(f"{k} = {v}" for k, v in manifest["config"].items())
+    (tmp_path / "replay.cfg").write_text(cfg_lines + "\n")
+    res = flexctl(["run", "--config", "replay.cfg", "--out", "replay.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "orig.csv").read_bytes()
+
+
+def test_manifest_rejects_a_non_finite_extra(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_manifest(tmp_path / "m.json", "run", SimConfig(), seeds=[1], outputs=[],
+                           extra={"grid": {"h_min": float("nan")}})
