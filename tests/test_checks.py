@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from flexctl import checks
 from flexctl.checks import integral_oracle, run_identity_checks
 from flexctl.plant import MotorParams, continuous_matrices
 
@@ -17,9 +18,63 @@ def test_degraded_series_tolerance_fails_the_suite():
     assert not all(r.passed for r in results)
 
 
+def test_degraded_series_tolerance_fails_the_integral_check():
+    # a wrong phi must show against the factored quadrature too
+    results = {r.name: r for r in run_identity_checks(seed=0, tol=1e-1)}
+    integ = results["integral of e^(M tau) = h*phi(M h)"]
+    assert integ.tolerance == 1e-7
+    assert integ.max_error == pytest.approx(1.97e-2, rel=1e-2)
+    assert not integ.passed
+
+
+@pytest.mark.parametrize("trials, calls, slices", [(50, 30, 718), (0, 6, 361)])
+def test_identity_suite_asks_scipy_for_a_fixed_number_of_exponentials(
+        monkeypatch, trials, calls, slices):
+    # one call per batch; an integral needs panels + 10 slices, not 10 per panel
+    counts = [0, 0]
+    scipy_oracle = checks.expm
+
+    def counted(a):
+        counts[0] += 1
+        counts[1] += a.shape[0] if a.ndim == 3 else 1
+        return scipy_oracle(a)
+
+    monkeypatch.setattr(checks, "expm", counted)
+    run_identity_checks(seed=0, trials=trials)
+    assert counts == [calls, slices]
+
+
+# (index of the expm call to corrupt, the check it feeds): call 0 is the
+# exponential check's stack, calls 1-28 the 28 integrals, call 29 the
+# discretize check's periods
+NAN_TARGETS = [(0, "exponential"), (2, "integral"), (29, "discretize")]
+
+
+@pytest.mark.parametrize("call, check", NAN_TARGETS)
+def test_a_nan_in_a_later_slice_fails_its_check(monkeypatch, call, check):
+    seen = [0]
+    scipy_oracle = checks.expm
+
+    def corrupted(a):
+        out = scipy_oracle(a)
+        if seen[0] == call:
+            out[1, 0, 0] = np.nan  # never the first slice or the first integral
+        seen[0] += 1
+        return out
+
+    monkeypatch.setattr(checks, "expm", corrupted)
+    results = run_identity_checks(seed=0)
+    assert seen[0] == 30
+    for r in results:
+        if r.name.startswith(check):
+            assert np.isnan(r.max_error) and not r.passed
+        else:
+            assert r.passed, (r.name, r.max_error)
+
+
 def reference_integral(M, h):
     """The quadrature with one single-matrix expm call per node, summed in
-    panel-then-node order; the stacked oracle must give the same bits."""
+    panel-then-node order: the per-node form the factored oracle rewrites."""
     nodes, weights = np.polynomial.legendre.leggauss(10)
     panels = max(4, int(np.ceil(np.max(np.abs(M)) * h / 2.0)))
     edges = np.linspace(0.0, h, panels + 1)
@@ -41,9 +96,36 @@ def oracle_cases():
     return cases + [(np.zeros((3, 3)), 0.3)]
 
 
+def factored_reference(M, h):
+    """The factored rule with one single-matrix expm call per panel start and
+    per node offset, summed in the oracle's order; the stacked oracle must
+    give the same bits."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    panels = max(4, int(np.ceil(np.max(np.abs(M)) * h / 2.0)))
+    edges = np.linspace(0.0, h, panels + 1)
+    half = 0.5 * (h / panels)
+    starts = np.zeros_like(np.asarray(M, dtype=float))
+    for t in edges[:-1]:
+        starts += expm(M * t)
+    inner = np.zeros_like(starts)
+    for t, wgt in zip(nodes, weights):
+        inner += wgt * expm(M * (half * (1.0 + t)))
+    return starts @ (inner * half)
+
+
 @pytest.mark.parametrize("M, h", oracle_cases())
 def test_integral_oracle_matches_per_node_reference_bitwise(M, h):
-    assert np.array_equal(integral_oracle(M, h), reference_integral(M, h))
+    # the stacked call gives each exponential the bits of its single call
+    assert np.array_equal(integral_oracle(M, h), factored_reference(M, h))
+
+
+@pytest.mark.parametrize("M, h", oracle_cases())
+def test_integral_oracle_is_within_1e_13_of_per_node_reference(M, h):
+    # the factored sum is the same quadrature in exact arithmetic; rounding
+    # alone separates them (worst 9.7e-15 relative over these cases)
+    want = reference_integral(M, h)
+    got = integral_oracle(M, h)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13
 
 
 # derived seeds (benchmark seed, index) where the earlier phi, which rebuilt
