@@ -43,10 +43,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def _max_norm(M) -> float:
-    return float(np.max(np.abs(M)))
-
-
 def _max_norms(S: np.ndarray) -> np.ndarray:
     """The max-norm of each matrix in a (k, n, m) stack."""
     return np.abs(S).max(axis=(1, 2))
@@ -73,22 +69,13 @@ def integral_oracle(M, h: float) -> np.ndarray:
         = (sum_p e^(M t_p)) (half sum_j w_j e^(M c_j)).
     Every e^(M t_p) and e^(M c_j) comes from one stacked `expm` call.
     """
-    panels = max(4, int(np.ceil(_max_norm(M) * h / 2.0)))
+    panels = max(4, int(np.ceil(np.abs(M).max() * h / 2.0)))
     edges = np.linspace(0.0, h, panels + 1)
     half = 0.5 * (h / panels)
     offsets = half * (1.0 + _GL_NODES)
     exps = expm(M * np.concatenate([edges[:-1], offsets])[:, None, None])
     starts, inner = exps[:panels], exps[panels:]
     return starts.sum(axis=0) @ ((_GL_WEIGHTS[:, None, None] * inner).sum(axis=0) * half)
-
-
-def _random_matrices(rng: np.random.Generator, trials: int) -> list[np.ndarray]:
-    return [rng.uniform(-5.0, 5.0, size=(3, 3)) for _ in range(trials)]
-
-
-def _reference_cases() -> list[np.ndarray]:
-    A, _ = continuous_matrices(MotorParams())
-    return [A * h for h in (0.05, 0.11, 0.2)]
 
 
 def run_identity_checks(seed: int = 0, trials: int = 50,
@@ -98,31 +85,33 @@ def run_identity_checks(seed: int = 0, trials: int = 50,
     to confirm the checks can actually fail."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    p = MotorParams()
+    A, B = continuous_matrices(p)
+    # the motor's A at three periods follows the random matrices in every check
+    refs = A * np.array([0.05, 0.11, 0.2])[:, None, None]
     rng = np.random.Generator(np.random.PCG64(seed))
-    mats = _random_matrices(rng, trials) + _reference_cases()
-    half = mats[: max(trials // 2, 1)]
+    S = np.concatenate([rng.uniform(-5.0, 5.0, size=(trials, 3, 3)), refs])
+    n_half = max(trials // 2, 1)
     # every draw comes before any evaluation, in the order of the checks
-    Ts = [_well_conditioned(rng) for _ in half]
-    integ_mats = half + _reference_cases()
-    hs = [float(rng.uniform(0.01, 0.5)) if _max_norm(M) <= 5.0 else 1.0 for M in integ_mats]
+    Ts = [_well_conditioned(rng) for _ in range(n_half)]
+    integ_mats = np.concatenate([S[:n_half], refs])
+    hs = [float(rng.uniform(0.01, 0.5)) if norm <= 5.0 else 1.0
+          for norm in _max_norms(integ_mats)]
 
-    S = np.stack(mats)
     ph = phi(S, tol)
     commut = float((_max_norms(S @ ph - ph @ S) / (1.0 + _max_norms(S) ** 2)).max())
     expo = float(_rel_errs(np.eye(3) + S @ ph, expm(S)).max())
 
     T = np.stack(Ts)
-    lhs = phi(np.linalg.solve(T, S[: len(half)] @ T), tol)
-    rhs = np.linalg.solve(T, ph[: len(half)] @ T)
+    lhs = phi(np.linalg.solve(T, S[:n_half] @ T), tol)
+    rhs = np.linalg.solve(T, ph[:n_half] @ T)
     simil = float(_rel_errs(lhs, rhs).max())
 
     H = np.array(hs)[:, None, None]
-    hphi = H * phi(np.stack(integ_mats) * H, tol)
+    hphi = H * phi(integ_mats * H, tol)
     oracle = np.stack([integral_oracle(M, h) for M, h in zip(integ_mats, hs)])
     integ = float(_rel_errs(oracle, hphi).max())
 
-    p = MotorParams()
-    A, B = continuous_matrices(p)
     aug = np.zeros((4, 4))
     aug[:3, :3] = A
     aug[:3, 3] = B

@@ -17,18 +17,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .controller import GAIN_MODES, GainSet
+from .controller import GAIN_MODES
 from .matseries import DEFAULT_TOL, SeriesConvergenceError
-from .plant import FIDELITIES, DesiredState, MotorParams, PlantState
-from .scheduler import ScheduleSpec
-from .simulator import (ComparisonSummary, DivergenceError, SimConfig, pair_gain_modes, run,
-                        with_gain_mode, write_trace_csv)
+from .plant import FIDELITIES
+from .simulator import (ComparisonSummary, DivergenceError, SimConfig, TraceRecord,
+                        pair_gain_modes, run, with_gain_mode, write_trace_csv)
 from .stability import stability_map
 from .checks import run_identity_checks
 
@@ -36,26 +35,27 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
-_SECTIONS = {
-    "params": MotorParams,
-    "gains": GainSet,
-    "desired": DesiredState,
-    "initial": PlantState,
-    "schedule": ScheduleSpec,
-}
-
 
 class ConfigError(ValueError):
     """Bad config file contents or inconsistent option values."""
 
 
-def _known_keys() -> dict[str, type]:
-    types = {"float": float, "int": int, "str": str}
-    keys: dict[str, type] = {"duration": float}
-    for section, cls in _SECTIONS.items():
-        for f in fields(cls):
-            keys[f"{section}.{f.name}"] = types[f.type]
-    return keys
+def config_image(cfg: SimConfig) -> dict[str, object]:
+    """cfg as flat `section.key` (or top-level `key`) -> value entries in
+    field order: the one spelling of config files, flags and manifests."""
+    image: dict[str, object] = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            image.update((f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value))
+        else:
+            image[f.name] = value
+    return image
+
+
+_DEFAULT_CONFIG = SimConfig()
+# every config key with its default; a config-file value is parsed with type(default)
+KEY_DEFAULTS = config_image(_DEFAULT_CONFIG)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -75,9 +75,10 @@ def parse_config_file(path) -> dict[str, str]:
 
 def build_sim_config(file_values: dict[str, str] | None = None,
                      overrides: dict[str, object] | None = None) -> SimConfig:
-    """Resolve a SimConfig from defaults, FLEXCTL_SEED, file, and overrides."""
-    known = _known_keys()
-    resolved: dict[str, object] = {}
+    """Resolve a SimConfig from defaults, FLEXCTL_SEED, file, and overrides.
+    An override whose value is None, or whose name is no config key, is
+    ignored, so a command's parsed flags can be passed whole."""
+    resolved = dict(KEY_DEFAULTS)
 
     env_seed = os.environ.get("FLEXCTL_SEED")
     if env_seed is not None:
@@ -87,50 +88,40 @@ def build_sim_config(file_values: dict[str, str] | None = None,
             raise ConfigError(f"FLEXCTL_SEED must be an integer, got {env_seed!r}") from exc
 
     for key, raw in (file_values or {}).items():
-        if key not in known:
+        if key not in KEY_DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            resolved[key] = known[key](raw)
+            resolved[key] = type(KEY_DEFAULTS[key])(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
     for key, value in (overrides or {}).items():
-        if value is not None:
+        if value is not None and key in KEY_DEFAULTS:
             resolved[key] = value
 
-    kwargs: dict[str, object] = {}
+    # resolved keeps KEY_DEFAULTS' field order, so the sections are rebuilt,
+    # and the first invalid one raises, in SimConfig's order
+    sections: dict[str, dict[str, object]] = {}
+    for key, value in resolved.items():
+        section, _, name = key.rpartition(".")
+        sections.setdefault(section, {})[name] = value
+    top = sections.pop("")
     try:
-        base = SimConfig()
-        for section, cls in _SECTIONS.items():
-            section_kwargs = {
-                f.name: resolved[f"{section}.{f.name}"]
-                for f in fields(cls) if f"{section}.{f.name}" in resolved
-            }
-            if section_kwargs:
-                kwargs[section] = replace(getattr(base, section), **section_kwargs)
-        duration = resolved.get("duration")
-        if duration is not None:
-            kwargs["duration"] = duration
-        return replace(base, **kwargs)
+        built = {s: replace(getattr(_DEFAULT_CONFIG, s), **kw) for s, kw in sections.items()}
+        return SimConfig(**built, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def write_manifest(path, command: str, cfg: SimConfig, seeds: list[int], outputs: list[str],
                    extra: dict[str, object] | None = None) -> None:
-    """The command's JSON manifest, with cfg as a flat key -> value image.
+    """The command's JSON manifest, with cfg as its `config_image`.
 
     A non-finite float (`gains.u_sat = inf`) is written as its `repr`
     string, the spelling a config file reads back; JSON has no such number.
     """
-    snapshot: dict[str, object] = {"duration": cfg.duration}
-    for section, cls in _SECTIONS.items():
-        obj = getattr(cfg, section)
-        for f in fields(cls):
-            value = getattr(obj, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                value = repr(value)
-            snapshot[f"{section}.{f.name}"] = value
+    snapshot = {key: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+                for key, value in config_image(cfg).items()}
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -144,15 +135,21 @@ def write_manifest(path, command: str, cfg: SimConfig, seeds: list[int], outputs
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """`3`, `1,2,5`, or `1..10` (inclusive range)."""
+    """`3`, `1,2,5`, or `1..10` (inclusive range), each seed at most once."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
-        if not seeds:
-            raise ConfigError(f"empty seed range {text!r}")
-        return seeds
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds takes `3`, `1,2,5` or `1..10`, got {text!r}") from exc
+    if not seeds:
+        raise ConfigError(f"empty seed range {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds lists a seed more than once: {text!r}")
+    return seeds
 
 
 def _shared_flags(sub: argparse.ArgumentParser) -> None:
@@ -173,24 +170,29 @@ def _resolve(args) -> SimConfig:
     """The command's SimConfig. A flag that sets a config key stores its
     value under that key (its dest), so every such flag is applied here."""
     file_values = parse_config_file(args.config) if args.config else None
-    known = _known_keys()
-    return build_sim_config(file_values, {k: v for k, v in vars(args).items() if k in known})
+    return build_sim_config(file_values, vars(args))
+
+
+def _run_to_csv(cfg: SimConfig, path: Path, label: str = "") -> list[TraceRecord] | None:
+    """Run cfg and write its trace to path. On divergence print
+    `divergence: <label><reason>`, write the partial trace and return None."""
+    try:
+        trace = run(cfg)
+    except DivergenceError as exc:
+        print(f"divergence: {label}{exc}", file=sys.stderr)
+        write_trace_csv(exc.trace, path)
+        return None
+    write_trace_csv(trace, path)
+    return trace
 
 
 def cmd_run(args) -> int:
     cfg = _resolve(args)
     out = Path(args.out)
-    manifest_path = out.with_suffix(".manifest.json")
-    try:
-        trace = run(cfg)
-        code = EXIT_OK
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        trace = exc.trace
-        code = EXIT_DIVERGENCE
-    write_trace_csv(trace, out)
-    write_manifest(manifest_path, "run", cfg, seeds=[cfg.schedule.seed], outputs=[str(out)])
-    return code
+    trace = _run_to_csv(cfg, out)
+    write_manifest(out.with_suffix(".manifest.json"), "run", cfg,
+                   seeds=[cfg.schedule.seed], outputs=[str(out)])
+    return EXIT_OK if trace is not None else EXIT_DIVERGENCE
 
 
 def cmd_compare(args) -> int:
@@ -210,16 +212,11 @@ def cmd_compare(args) -> int:
         traces = []
         for mode in GAIN_MODES:
             path = outdir / (f"{mode}.csv" if len(seeds) == 1 else f"{mode}_s{seed}.csv")
-            try:
-                trace = run(with_gain_mode(seeded, mode))
-            except DivergenceError as exc:
-                print(f"divergence: seed {seed}, {mode} gain: {exc}", file=sys.stderr)
-                write_trace_csv(exc.trace, path)
-                outputs.append(str(path))
+            trace = _run_to_csv(with_gain_mode(seeded, mode), path, f"seed {seed}, {mode} gain: ")
+            outputs.append(str(path))
+            if trace is None:
                 write_manifest(manifest_path, "compare", cfg, seeds=seeds, outputs=outputs)
                 return EXIT_DIVERGENCE
-            write_trace_csv(trace, path)
-            outputs.append(str(path))
             traces.append(trace)
         rows.append((seed, pair_gain_modes(seeded, *traces).summary))
 

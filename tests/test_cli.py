@@ -185,9 +185,9 @@ def test_config_file_unknown_key(tmp_path):
     assert "unknown config key" in res.stderr
 
 
-def test_config_key_census():
+def test_config_key_census(tmp_path):
     # a new config knob, or a removed one coming back, must edit this set
-    assert set(cli._known_keys()) == {
+    census = {
         "duration",
         "params.R", "params.L", "params.K_b", "params.K_m", "params.J", "params.B_f",
         "params.K_L", "params.fidelity",
@@ -198,6 +198,10 @@ def test_config_key_census():
         "schedule.h_min", "schedule.h_max", "schedule.seed", "schedule.hold_max",
         "schedule.mode",
     }
+    assert set(cli.KEY_DEFAULTS) == census
+    # a manifest spells the config with the same keys a config file reads
+    cli.write_manifest(tmp_path / "m.json", "run", SimConfig(), seeds=[0], outputs=[])
+    assert set(json.loads((tmp_path / "m.json").read_text())["config"]) == census
 
 
 def test_flag_census():
@@ -228,6 +232,17 @@ def test_compare_default_outputs(tmp_path):
     dyn = read_trace_csv(tmp_path / "cmp" / "dynamic.csv")
     con = read_trace_csv(tmp_path / "cmp" / "constant.csv")
     assert [r.h_k for r in dyn] == [r.h_k for r in con]
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("1,1", "error: --seeds lists a seed more than once: '1,1'\n"),
+    ("1..3,5", "error: --seeds takes `3`, `1,2,5` or `1..10`, got '1..3,5'\n"),
+], ids=["duplicate", "malformed"])
+def test_compare_bad_seed_list_is_usage_error(tmp_path, seeds, message):
+    res = flexctl(["compare", "--seeds", seeds, "--duration", "1", "--out", "cmp"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == message
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_seed_sweep(tmp_path):
@@ -408,10 +423,30 @@ def test_unknown_command_usage_error(tmp_path):
     assert res.returncode == 2
 
 
-def test_output_reproducible_from_manifest(tmp_path):
-    res = flexctl(["run", "--seed", "4", "--duration", "3", "--out", "orig.csv"], tmp_path)
+# one key moved in every section, and the duration
+EVERY_SECTION_CFG = """params.K_b = 0.45
+gains.k_D = 0.09
+desired.theta_d = 1.7
+initial.theta = -0.2
+schedule.mode = per_step
+duration = 2.5
+"""
+
+
+@pytest.mark.parametrize("args, cfg_text", [
+    (["--seed", "4", "--duration", "3"], None),
+    (["--config", "orig.cfg"], EVERY_SECTION_CFG),
+], ids=["flags", "every_section"])
+def test_output_reproducible_from_manifest(tmp_path, args, cfg_text):
+    if cfg_text is not None:
+        (tmp_path / "orig.cfg").write_text(cfg_text)
+    res = flexctl(["run", *args, "--out", "orig.csv"], tmp_path)
     assert res.returncode == 0, res.stderr
     manifest = json.loads((tmp_path / "orig.manifest.json").read_text())
+    if cfg_text is not None:
+        moved = {k for k, v in manifest["config"].items() if v != cli.KEY_DEFAULTS[k]}
+        assert {k.split(".")[0] for k in moved} == {
+            "params", "gains", "desired", "initial", "schedule", "duration"}
     cfg_lines = "\n".join(f"{k} = {v}" for k, v in manifest["config"].items())
     (tmp_path / "replay.cfg").write_text(cfg_lines + "\n")
     res = flexctl(["run", "--config", "replay.cfg", "--out", "replay.csv"], tmp_path)
