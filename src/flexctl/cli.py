@@ -146,7 +146,7 @@ def _parse_seeds(text: str) -> list[int]:
     except ValueError as exc:
         raise ConfigError(f"--seeds takes `3`, `1,2,5` or `1..10`, got {text!r}") from exc
     if not seeds:
-        raise ConfigError(f"empty seed range {text!r}")
+        raise ConfigError(f"--seeds range {text!r} is empty")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds lists a seed more than once: {text!r}")
     return seeds

@@ -113,8 +113,8 @@ def law_terms(x: np.ndarray, d: DesiredState, model: DiscreteModel, gains: GainS
 
 
 def check_period(h: float) -> None:
-    """Raise SamplingTooSmallError for a period below the floor EPS_H."""
-    if h < EPS_H:
+    """Raise SamplingTooSmallError for a period below the floor EPS_H, or NaN."""
+    if not h >= EPS_H:
         raise SamplingTooSmallError(f"h = {h} is below the sampling floor eps_h = {EPS_H}")
 
 

@@ -84,8 +84,9 @@ def discretize_periods(p: MotorParams, periods, tol: float = DEFAULT_TOL) -> Mod
     A, B = continuous_matrices(p)
     h = np.array(list(periods), dtype=float)
     hs = h[:, None, None]
-    # phi reports an infinite A h, and ModelStack an infinite F or G
-    with np.errstate(over="ignore"):
+    # phi reports a non-finite A h (an infinite h makes 0 * inf a NaN), and
+    # ModelStack an infinite F or G
+    with np.errstate(over="ignore", invalid="ignore"):
         Ah = A * hs
         ph = phi(Ah, tol)
         F = np.eye(A.shape[0]) + Ah @ ph

@@ -223,27 +223,27 @@ _CELL_PARSERS = {int: int, float: float, bool: _parse_flag, str: _parse_event}
 def read_trace_csv(path) -> list[TraceRecord]:
     """Inverse of write_trace_csv. A cell the writer never produces (a flag
     other than 0/1, an unknown guard event, a malformed number) raises
-    ValueError naming its line and column, and a row of the wrong length
-    one naming its line."""
-    converters = {name: _CELL_PARSERS[kind] for name, kind in _COLUMN_TYPES.items()}
+    ValueError naming its line and column, and a row of the wrong length (a
+    blank line among them) one naming its line."""
+    converters = [(name, _CELL_PARSERS[kind]) for name, kind in _COLUMN_TYPES.items()]
     records = []
     with Path(path).open(newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != list(TRACE_COLUMNS):
-            raise ValueError(f"unexpected trace header: {reader.fieldnames}")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != list(TRACE_COLUMNS):
+            raise ValueError(f"unexpected trace header: {header}")
         for row in reader:
-            # DictReader keys extra cells by None and fills missing ones with None
-            if None in row or None in row.values():
+            if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
                                  f"{len(TRACE_COLUMNS)} cells")
-            values = {}
-            for name, conv in converters.items():
+            values = []
+            for (name, conv), cell in zip(converters, row):
                 try:
-                    values[name] = conv(row[name])
+                    values.append(conv(cell))
                 except ValueError as exc:
                     raise ValueError(
                         f"{path}: line {reader.line_num}, column {name}: {exc}") from None
-            records.append(TraceRecord(**values))
+            records.append(TraceRecord(*values))
     return records
 
 

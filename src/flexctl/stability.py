@@ -87,11 +87,11 @@ def v_prime(terms: LawTerms, u: float, k_E_used: float) -> float:
     return terms.rate(k_E_used, terms.ax + terms.model.B * u)
 
 
-def v1_margin(omega, theta, d: DesiredState, h: float, gains: GainSet, fmx):
+def v1_margin(omega, theta, d: DesiredState, h, gains: GainSet, fmx):
     """Left-hand side of V1 (<= 0 required), from F_m x already formed:
     k_P (theta - theta_d) omega - (k_D/h)(omega - omega_d)(F*_m x - omega),
-    with F*_m x = -F_m x. omega and fmx are floats or equal-shape arrays
-    (one grid row)."""
+    with F*_m x = -F_m x. omega, h and fmx are floats or arrays that
+    broadcast together (a whole grid)."""
     return (gains.k_P * (theta - d.theta_d) * omega
             - gains.k_D / h * (omega - d.omega_d) * (-fmx - omega))
 
@@ -124,9 +124,9 @@ def stability_map(cfg: SimConfig, h_values, omega_values) -> StabilityGrid:
 
     Every h must be at least the sampling floor EPS_H, and every omega finite
     and within +-DIVERGENCE_LIMIT, as every state of cfg is. All h rows are
-    discretized in one stacked series evaluation (one ModelStack); each row
-    is then one `v1_margin` over all the omega values, so every cell has the
-    bits of the margin `check_conditions` reports at that state.
+    discretized in one stacked series evaluation (one ModelStack), and the
+    whole grid is one `v1_margin`, so every cell has the bits of the margin
+    `check_conditions` reports at that state.
     """
     h_values = np.asarray(h_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
@@ -147,8 +147,7 @@ def stability_map(cfg: SimConfig, h_values, omega_values) -> StabilityGrid:
     X[:, 0, 1] = omega_values
     X[:, 0, 2] = cfg.initial.theta
     stack = discretize_periods(cfg.params, periods)
-    margins = np.empty((h_values.size, omega_values.size))
-    for i, (h, Fm) in enumerate(zip(stack.h.tolist(), stack.F[:, 1, :, None])):
-        fmx = np.matmul(X, Fm)[:, 0, 0]
-        margins[i] = v1_margin(omega_values, cfg.initial.theta, cfg.desired, h, cfg.gains, fmx)
+    fmx = np.matmul(X, stack.F[:, None, 1, :, None])[..., 0, 0]  # (h, omega)
+    margins = v1_margin(omega_values, cfg.initial.theta, cfg.desired, stack.h[:, None],
+                        cfg.gains, fmx)
     return StabilityGrid(axis1_values=h_values, axis2_values=omega_values, margins=margins)

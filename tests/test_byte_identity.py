@@ -93,7 +93,7 @@ GATE_SHA256 = {
     "compare_1..3": "36a4ed3badf401c0143b4f45703d4725593726b8c23ae7f3d50e118af22da6a1",
     "compare_2..2": "d26de00ac8e39d1b14acd2b0b44086be544557c7eaaaa3c24399396e1493d04a",
     "compare_repeated_seed": "6035e3390489129678bd37a61667f6936dd5c003ba5a400da293942cb91a95b2",
-    "compare_empty_range": "cf36200d7f0bfdfd8b522d7a002f80fcce7c854a7fee65aab8ce4ac6ed15bdde",
+    "compare_empty_range": "03106b20d189bf95299b676a2cc5c1873f98d3e2261cb43d723a389de74f08ed",
     "compare_malformed_seeds": "c3e0e66cd8853da8a5104bbe98a77a3f2dc56d551e96293ad7052dbe6c00946f",
     "run_every_section": "73e05546c3fd8ee02f864235c6b825d0dd82fcbd61c18a82a522c8c8609b19f8",
     "compare_every_section": "6430928205ba2bfc532e9afedd1f5a1eaa409c9fd50a5c4bba54cbc8878c2d41",

@@ -237,7 +237,8 @@ def test_compare_default_outputs(tmp_path):
 @pytest.mark.parametrize("seeds, message", [
     ("1,1", "error: --seeds lists a seed more than once: '1,1'\n"),
     ("1..3,5", "error: --seeds takes `3`, `1,2,5` or `1..10`, got '1..3,5'\n"),
-], ids=["duplicate", "malformed"])
+    ("3..1", "error: --seeds range '3..1' is empty\n"),
+], ids=["duplicate", "malformed", "empty_range"])
 def test_compare_bad_seed_list_is_usage_error(tmp_path, seeds, message):
     res = flexctl(["compare", "--seeds", seeds, "--duration", "1", "--out", "cmp"], tmp_path)
     assert res.returncode == 2

@@ -140,6 +140,13 @@ def test_sampling_floor_raises():
         control(X0, model, 0.0)
 
 
+def test_nan_period_raises():
+    # NaN compares false with the floor; the law would return u = nan
+    model = discretize(P, 0.1)._replace(h=math.nan)
+    with pytest.raises(SamplingTooSmallError, match="h = nan is below the sampling floor"):
+        control(X0, model, 0.0)
+
+
 def test_denominator_floor_holds_previous_input():
     h = 0.11
     model = discretize(P, h)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -98,6 +100,14 @@ def test_model_validation():
     assert not hasattr(DiscreteModel, "__post_init__")
     with pytest.raises(TypeError):
         DiscreteModel(F=np.eye(3), G=np.zeros(3), h=0.1, psi=np.eye(3))
+
+
+def test_infinite_period_raises_without_a_warning():
+    # A h holds 0 * inf, a NaN; phi refuses it before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            discretize(MotorParams(), np.inf)
 
 
 def test_stack_views_are_the_single_period_models():

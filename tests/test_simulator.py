@@ -170,8 +170,9 @@ def test_trace_csv_rejects_a_cell_the_writer_never_writes(tmp_path, column, cell
         read_trace_csv(path)
 
 
-@pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0]],
-                         ids=["extra_cell", "missing_cell"])
+@pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0],
+                                  lambda row: "\n" + row],
+                         ids=["extra_cell", "missing_cell", "blank_row"])
 def test_trace_csv_rejects_a_row_of_the_wrong_length(tmp_path, edit):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(nominal_config(seed=0, duration=1.0)), path)

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -431,3 +432,15 @@ def test_stability_map_empty_axis_rejected():
 def test_stability_map_h_below_floor_rejected():
     with pytest.raises(SamplingTooSmallError):
         stability_map(map_config(), [1e-6], [0.0])
+
+
+def test_stability_map_nan_h_rejected():
+    with pytest.raises(SamplingTooSmallError, match="h = nan"):
+        stability_map(map_config(), [0.11, float("nan")], [0.0])
+
+
+def test_stability_map_infinite_h_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            stability_map(map_config(), [float("inf")], [0.0])
