@@ -89,7 +89,7 @@ class LawTerms(NamedTuple):
     def rate(self, k_E: float, v: np.ndarray) -> float:
         """k_E E (w . v) + t_D + t_P: V' at input u for v = A x + B u, and
         its input-free part for v = A x."""
-        return k_E * self.E * float(self.w @ v) + self.t_D + self.t_P
+        return k_E * self.E * float(self.w.dot(v)) + self.t_D + self.t_P
 
 
 def law_terms(x: np.ndarray, d: DesiredState, model: DiscreteModel, gains: GainSet) -> LawTerms:
@@ -97,15 +97,15 @@ def law_terms(x: np.ndarray, d: DesiredState, model: DiscreteModel, gains: GainS
     (``PlantState.as_array()``)."""
     _, omega, theta = x.tolist()
     xd = x * model.weights  # equals x^T D to the bit; w is (x^T D) Psi, never x^T (D Psi)
-    fmx = float(model.F[1] @ x)
+    fmx = float(model.F[1].dot(x))
     return LawTerms(
         model=model, gains=gains, d=d,
         omega=omega,
         theta=theta,
         xd=xd,
-        E=0.5 * float(xd @ x),
-        ax=model.A @ x,
-        w=xd @ model.psi,
+        E=0.5 * float(xd.dot(x)),
+        ax=model.A.dot(x),
+        w=xd.dot(model.psi),
         fmx=fmx,
         t_D=gains.k_D / model.h * (omega - d.omega_d) * (fmx - omega),
         t_P=gains.k_P * (theta - d.theta_d) * omega,
@@ -132,10 +132,10 @@ def _gain_with_event(terms: LawTerms, u_prev: float, psi_s: np.ndarray) -> tuple
     if gains.gain_mode == "constant":
         return gains.k_E_s, False
     v = terms.ax + terms.model.B * u_prev
-    e_rate_k = float(terms.w @ v)
+    e_rate_k = float(terms.w.dot(v))
     if abs(e_rate_k) < EPS_EPRIME:
         return gains.k_E_s, True
-    e_rate_s = float(terms.xd @ psi_s @ v)
+    e_rate_s = float(terms.xd.dot(psi_s).dot(v))
     raw = gains.k_E_s * e_rate_s / e_rate_k + gains.K_c
     return float(min(max(raw, gains.K_c), K_E_MAX)), False
 
@@ -161,7 +161,7 @@ def control_input(terms: LawTerms, u_prev: float, psi_s: np.ndarray) -> ControlO
         return ControlOutput(u=0.0, k_E_used=k_E, saturated=False, guard_event="energy_floor")
 
     u_sat = terms.gains.u_sat
-    den = k_E * terms.E * float(terms.w @ model.B)
+    den = k_E * terms.E * float(terms.w.dot(model.B))
     if abs(den) < EPS_DEN:
         u = float(min(max(u_prev, -u_sat), u_sat))
         return ControlOutput(u=u, k_E_used=k_E, saturated=abs(u_prev) > u_sat,

@@ -119,13 +119,9 @@ def run(cfg: SimConfig) -> list[TraceRecord]:
         out = control_input(terms, u_prev, psi_s)
         sample = check_conditions(terms, out.u, out.k_E_used)
         records.append(TraceRecord(
-            k=k, t=t, h_k=h, I=I, omega=omega, theta=theta,
-            u=out.u, E=terms.E, k_E=out.k_E_used,
-            V=sample.V, V_prime=sample.V_prime,
-            saturated=out.saturated, guard_event=out.guard_event,
-            V1_ok=sample.V1_ok, V2_ok=sample.V2_ok, cond_main=sample.condition_main,
-        ))
-        xv = model.F @ xv + model.G * out.u
+            k, t, h, I, omega, theta, out.u, terms.E, out.k_E_used, sample.V, sample.V_prime,
+            out.saturated, out.guard_event, sample.V1_ok, sample.V2_ok, sample.condition_main))
+        xv = model.F.dot(xv) + model.G * out.u
         I, omega, theta = xv.tolist()
         # false for NaN as well as for inf or a magnitude beyond the limit
         if not (abs(I) <= DIVERGENCE_LIMIT and abs(omega) <= DIVERGENCE_LIMIT

@@ -101,7 +101,11 @@ def check_conditions(terms: LawTerms, u: float, k_E_used: float) -> LyapunovSamp
     which carry its model (A, B, Psi and the energy weights), gains and target."""
     omega, theta, d, gains = terms.omega, terms.theta, terms.d, terms.gains
     closed = terms.ax + terms.model.B * u   # B u + A x
-    hi, lo = float(closed.max()), float(closed.min())  # NaN if any component is NaN
+    c0, c1, c2 = closed.tolist()
+    # closed.max()/closed.min() on Python floats: the reversed order gives a tie of
+    # 0.0 and -0.0 to the later component as numpy does, and a NaN goes to numpy
+    hi, lo = ((max(c2, c1, c0), min(c2, c1, c0)) if c0 == c0 and c1 == c1 and c2 == c2
+              else (float(closed.max()), float(closed.min())))
     Vp = terms.rate(k_E_used, closed)
     v1 = v1_margin(omega, theta, d, terms.model.h, gains, terms.fmx)
     low = gains.k_D * (omega - d.omega_d) * (terms.fmx - omega)

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flexctl import controller
 from flexctl.controller import (GUARD_EVENTS, ControlOutput, GainSet, SamplingTooSmallError,
@@ -201,6 +204,75 @@ def test_no_call_takes_law_terms_beside_their_context():
                 if "LawTerms" in kinds and kinds & context:
                     offenders.append(f"{path.name}:{fn.name}")
     assert offenders == []
+
+
+# the per-sample path, by module and qualified name; every product of
+# 3-vectors there is ndarray.dot, which skips the `@` ufunc dispatch
+HOT_PATH = {"controller.py": {"law_terms", "LawTerms.rate", "_gain_with_event", "control_input"},
+            "stability.py": {"check_conditions", "v_prime"},
+            "simulator.py": {"run"}}
+
+
+def matmul_census(tree, names):
+    """{qualified name: lines of its `@` and `@=`} for each of the named
+    functions (and methods, as Class.method) defined in the module tree."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if name in names:
+                    found[name] = [n.lineno for n in ast.walk(child)
+                                   if isinstance(getattr(n, "op", None), ast.MatMult)]
+                visit(child, name + ".")
+
+    visit(tree, "")
+    return found
+
+
+def test_no_matmul_operator_on_the_per_sample_path():
+    package = Path(controller.__file__).parent
+    for module, names in HOT_PATH.items():
+        census = matmul_census(ast.parse((package / module).read_text()), names)
+        assert census == {name: [] for name in names}, module
+
+
+def test_census_sees_the_matmul_operator():
+    tree = ast.parse("def law_terms(x):\n"
+                     "    return x.dot(x) @ x\n"
+                     "class LawTerms:\n"
+                     "    def rate(self, v):\n"
+                     "        v @= self.w\n"
+                     "def other(x):\n"
+                     "    return x @ x\n")
+    assert matmul_census(tree, {"law_terms", "LawTerms.rate", "run"}) == {
+        "law_terms": [2], "LawTerms.rate": [5]}
+
+
+def vectors(*shape):
+    """float64 arrays of any values: signed zeros, subnormals, +-inf and NaN included."""
+    return hnp.arrays(np.float64, shape, elements=st.floats(width=64))
+
+
+SPECIALS = np.array([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan, 1.5])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([((3,), (3,)), ((3, 3), (3,)), ((3,), (3, 3))]).flatmap(
+    lambda shapes: st.tuples(vectors(*shapes[0]), vectors(*shapes[1]))))
+@example((SPECIALS[:3], SPECIALS[3:6]))
+@example((SPECIALS[[0, 1, 7]], SPECIALS[[1, 2, 6]]))
+@example((np.resize(SPECIALS, (3, 3)), SPECIALS[[2, 7, 1]]))
+@example((SPECIALS[[1, 0, 3]], np.resize(SPECIALS[::-1], (3, 3))))
+def test_dot_has_the_bytes_of_the_matmul_operator(operands):
+    # the per-sample path writes its products as a.dot(b) on the premise that
+    # it runs the same BLAS kernel as a @ b; if a numpy or BLAS upgrade splits
+    # them, this fails before the golden trace digest does
+    a, b = operands
+    with np.errstate(all="ignore"):
+        dot, matmul = a.dot(b), a @ b
+    assert np.asarray(dot).tobytes() == np.asarray(matmul).tobytes()
 
 
 def test_guard_events_are_the_ones_the_law_reports():

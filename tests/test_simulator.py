@@ -394,7 +394,11 @@ def test_run_equals_step_by_step_replay(mode):
 
 
 # SHA-256 of the trace CSVs below, concatenated, as written before run formed
-# the law terms once per step (numpy 2.x with its bundled OpenBLAS on x86-64).
+# the law terms once per step (numpy 2.x with its bundled OpenBLAS on x86-64),
+# and unmoved since the per-sample products went from `@` to ndarray.dot,
+# which runs the same BLAS kernel bit for bit (pinned by
+# test_controller.py::test_dot_has_the_bytes_of_the_matmul_operator, which
+# names a numpy or BLAS upgrade that splits the two before this digest does).
 # A change to the per-step arithmetic that moves any bit of any trace fails
 # here; a different BLAS build may round differently.
 GOLDEN_TRACE_SHA256 = "cbe4c378224a6f1d54324acf535c5b6f7543fc1e0c4f201bf2def874528882c5"

@@ -218,6 +218,28 @@ def test_sign_flags_equal_the_componentwise_reductions():
     assert zero_components > 500
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("ax", [
+    [NAN, -1.0, 2.0], [-1.0, NAN, 2.0], [-1.0, 2.0, NAN],
+    [INF, -INF, 1.0], [INF, NAN, NAN],
+    [-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0], [1.0, 0.0, -0.0]])
+@pytest.mark.parametrize("u", [0.0, -0.0])
+def test_v2_extrema_have_the_bits_of_numpys_reductions(ax, u):
+    # check_conditions takes the extrema of B u + A x on Python floats; a NaN
+    # anywhere must still win, as in numpy (Python's max([1, nan, 2]) is 2),
+    # and a tie of 0.0 and -0.0 must keep numpy's sign (u = -0.0 keeps ax's zeros)
+    terms = terms_at(PlantState(0.4, 5.0, 0.1), discretize(P, 0.11))._replace(ax=np.array(ax))
+    closed = terms.ax + terms.model.B * u
+    hi, lo = float(closed.max()), float(closed.min())
+    with np.errstate(invalid="ignore"):  # inf - inf in the rate
+        s = check_conditions(terms, u, 725.0)
+    assert repr(s.v2_margin) == repr(hi)
+    assert s.V2_ok == (hi <= 0.0)
+    assert s.boundary_high_ok == (lo >= 0.0)
+
+
 def test_v1_holds_in_high_kp_regime_on_approach_states():
     # k_P = 565 >> k_D = 0.07: V1 holds on >= 95% of transient approach states
     # ((theta - theta_d) * omega < 0, |omega| >= 1); measured rate is 100%.
