@@ -43,6 +43,14 @@ CONFIG_FILES = {
     "no_equals.cfg": "duration 5\n",
 }
 
+# command name -> its own config files, written into that command's directory
+# only, so that adding one moves no other command's digest
+OWN_FILES = {
+    "compare_1..10_per_step": {"per_step.cfg": "schedule.mode = per_step\n"},
+    "map_17x23": {"state.cfg": "initial.theta = -0.35\ninitial.current_I = 0.9\n"
+                               "desired.theta_d = 1.5\n"},
+}
+
 COMMANDS = {
     **{f"run_s{seed}_{mode}": ["run", "--seed", str(seed), "--gain-mode", mode,
                                "--out", "trace.csv"]
@@ -81,6 +89,15 @@ COMMANDS = {
     "run_h_max_1e308": ["run", "--h-max", "1e308"],
     "run_duration_inf": ["run", "--duration", "inf"],
     "run_h_min_1e-5": ["run", "--h-min", "1e-5"],
+    # the default traces of seeds 1-10, both gain modes and both schedule modes
+    "compare_1..10": ["compare", "--seeds", "1..10", "--out", "cmp"],
+    "compare_1..10_per_step": ["compare", "--config", "per_step.cfg", "--seeds", "1..10",
+                               "--out", "cmp"],
+    "map_kp50_kd05": ["stability-map", "--kp", "50", "--kd", "0.5", "--out", "map.csv"],
+    # negative omega, and a current, angle and target of the config's own
+    "map_17x23": ["stability-map", "--config", "state.cfg", "--n-h", "17", "--n-omega", "23",
+                  "--h-min", "0.02", "--h-max", "0.25", "--omega-min=-7.5", "--omega-max", "4.0",
+                  "--out", "map.csv"],
 }
 
 GATE_SHA256 = {
@@ -122,6 +139,10 @@ GATE_SHA256 = {
     "run_h_max_1e308": "a8cd99cc41cc496ee72047cd73fa65a8100a84f7fb9dbd155cf60bd343c0e6d7",
     "run_duration_inf": "dbc08efa315287f3b7c2252dad79cfb6d97e0b16316d595bdcb31b60bd7cf6fe",
     "run_h_min_1e-5": "ea122aaea9a43c77852e2d7b60672d32a7153e9615c75fd9757c9688fa75c473",
+    "compare_1..10": "0c320eeaf0d692dcf3df1d9c4fe954e58ef2ec9d8f4252dc64b99a3f9190927e",
+    "compare_1..10_per_step": "68c9273c988bc37f03f8fa5ed26a4ca6289d918d3f00388910679733b1193610",
+    "map_kp50_kd05": "0b66ab65d4422b547c37bf4136e7e0111c1da42f5201e6a62cdb037f7c74683e",
+    "map_17x23": "41b0173cfb8a44b1468b3bc8195573c4e92547dd36ba48b37bf1d61e03ec3102",
 }
 
 
@@ -149,6 +170,6 @@ def test_gate_pins_every_command():
 def test_command_bytes_match_the_gate(tmp_path, monkeypatch, capsys, name):
     monkeypatch.delenv("FLEXCTL_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
-    for file_name, text in CONFIG_FILES.items():
+    for file_name, text in {**CONFIG_FILES, **OWN_FILES.get(name, {})}.items():
         (tmp_path / file_name).write_text(text)
     assert command_digest(COMMANDS[name], tmp_path, capsys) == GATE_SHA256.get(name)
