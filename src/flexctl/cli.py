@@ -3,8 +3,8 @@
 Commands: run, compare, stability-map, validate. Configuration is resolved
 with precedence built-in defaults < FLEXCTL_SEED (seed only) < config file
 < command-line flags. Config files are flat `key = value` lines with `#`
-comments; keys mirror the dataclass fields (`params.R`, `gains.k_P`,
-`schedule.h_min`, `initial.theta`, `duration`, ...).
+comments, each key set at most once; keys mirror the dataclass fields
+(`params.R`, `gains.k_P`, `schedule.h_min`, `initial.theta`, `duration`, ...).
 
 Exit codes: 0 ok, 1 failed `validate` checks, 2 usage/config error (an
 unrepresentable e^(Ah) among them), 3 divergence.
@@ -59,8 +59,10 @@ KEY_DEFAULTS = config_image(_DEFAULT_CONFIG)
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat `key = value` lines; `#` starts a comment; blank lines ignored."""
+    """Flat `key = value` lines; `#` starts a comment; blank lines ignored;
+    each key at most once."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,7 +71,10 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
         values[key] = value
+        set_on[key] = lineno
     return values
 
 
@@ -200,7 +205,7 @@ def cmd_compare(args) -> int:
     trace is written to that mode's CSV and the manifest lists the outputs
     written so far (no summary)."""
     cfg = _resolve(args)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg.schedule.seed]
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else [cfg.schedule.seed]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "compare.manifest.json"

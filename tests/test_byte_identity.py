@@ -1,26 +1,30 @@
 """Byte-identity gate: one SHA-256 per CLI command over everything it emits.
 
-Each command runs through ``cli.main`` in its own temporary working
+Each command runs through ``run_cli`` in its own temporary working
 directory, with FLEXCTL_SEED unset and relative paths only, so manifests
 hold no machine-specific text. The digest covers argv, the exit code,
 stdout, stderr and every file in the directory afterwards (relative path
-and bytes, sorted by path). A change that means to move an output re-pins
-the named entries and says which ones moved.
+and bytes, sorted by path). This is the one place the tests pin output
+bytes: a change that means to move an output re-pins the named entries and
+says which ones moved.
 
 ``validate`` prints oracle errors whose last digits are scipy ``expm``'s,
 so its stdout is pinned only through each line's PASS/FAIL word and check
 name (the text before ``max_error=``).
 
-Digests computed with numpy 2.4.6 (bundled OpenBLAS, x86-64) and
-scipy 1.17.1; a different BLAS build may round differently.
+Digests computed with the numpy and scipy of ``RECORDED_WITH`` (numpy's
+bundled OpenBLAS, x86-64); a different BLAS build may round differently.
 """
 
 import hashlib
+from importlib import metadata
 from pathlib import Path
 
 import pytest
 
-from flexctl import cli
+from conftest import run_cli
+
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 # one key moved in every section, and no saturation
 EVERY_SECTION_CFG = """params.K_b = 0.45
@@ -47,6 +51,7 @@ CONFIG_FILES = {
 # only, so that adding one moves no other command's digest
 OWN_FILES = {
     "compare_1..10_per_step": {"per_step.cfg": "schedule.mode = per_step\n"},
+    "run_repeated_key": {"repeated_key.cfg": "gains.k_P = 100\ngains.k_P = 5\n"},
     "map_17x23": {"state.cfg": "initial.theta = -0.35\ninitial.current_I = 0.9\n"
                                "desired.theta_d = 1.5\n"},
 }
@@ -60,6 +65,7 @@ COMMANDS = {
     "compare_repeated_seed": ["compare", "--seeds", "1,1", "--out", "cmp"],
     "compare_empty_range": ["compare", "--seeds", "3..1", "--out", "cmp"],
     "compare_malformed_seeds": ["compare", "--seeds", "1..3,5", "--out", "cmp"],
+    "compare_empty_seeds": ["compare", "--seeds", "", "--out", "cmp"],
     "run_every_section": ["run", "--config", "every.cfg", "--out", "trace.csv"],
     "compare_every_section": ["compare", "--config", "every.cfg", "--out", "cmp"],
     "map_every_section": ["stability-map", "--config", "every.cfg", "--n-h", "5",
@@ -70,6 +76,7 @@ COMMANDS = {
     "run_bad_value": ["run", "--config", "bad_value.cfg"],
     "run_no_equals": ["run", "--config", "no_equals.cfg"],
     "run_missing_config": ["run", "--config", "missing.cfg"],
+    "run_repeated_key": ["run", "--config", "repeated_key.cfg"],
     "run_paper_literal_divergence": ["run", "--gain-mode", "constant", "--fidelity",
                                      "paper_literal", "--duration", "30", "--out", "div.csv"],
     "compare_paper_literal_divergence": ["compare", "--fidelity", "paper_literal", "--duration",
@@ -112,6 +119,7 @@ GATE_SHA256 = {
     "compare_repeated_seed": "6035e3390489129678bd37a61667f6936dd5c003ba5a400da293942cb91a95b2",
     "compare_empty_range": "03106b20d189bf95299b676a2cc5c1873f98d3e2261cb43d723a389de74f08ed",
     "compare_malformed_seeds": "c3e0e66cd8853da8a5104bbe98a77a3f2dc56d551e96293ad7052dbe6c00946f",
+    "compare_empty_seeds": "1cdcde0d3dc6f354872908d92de16ed992688bbf78beee80980e41bad8e97fba",
     "run_every_section": "73e05546c3fd8ee02f864235c6b825d0dd82fcbd61c18a82a522c8c8609b19f8",
     "compare_every_section": "6430928205ba2bfc532e9afedd1f5a1eaa409c9fd50a5c4bba54cbc8878c2d41",
     "map_every_section": "13ba2a72a9fe404f2c72c9d4f708743e7fe93f63f59ce1a6e4afc01d141ff5d5",
@@ -121,6 +129,7 @@ GATE_SHA256 = {
     "run_bad_value": "222101b35e640564521578b8d9d00b34bca0ec6bb2ef7faed5952528945fb85b",
     "run_no_equals": "57d0a85a299c75faeaca08be725ea7456aa424980d2a0c1099b9a81e973e88cc",
     "run_missing_config": "bab7334d6eb36a8d625788e5a3539582d89771ad3c66438cce6a01bbe051a82f",
+    "run_repeated_key": "10a974887548821eb0754915a42cce2c363ef5d53737eaaa654cac24502060c5",
     "run_paper_literal_divergence": "53317f8d1a4d3787651f50188dcc8ea60a5babf825e77c5e7e3791f12fe2deaa",
     "compare_paper_literal_divergence": "a88aee111ff204199f902f901a202248a974eb77d06b692a72cec10f8f744a7f",
     "map_default": "64e841a120bceb586582bb4feb0afc5078978b70d2968858b41a84fa8c863dc7",
@@ -151,9 +160,8 @@ def _validate_words(stdout: str) -> str:
     return "\n".join(line.split("max_error=")[0].rstrip() for line in stdout.splitlines())
 
 
-def command_digest(argv, cwd: Path, capsys) -> str:
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
+def command_digest(argv, cwd: Path) -> str:
+    code, out, err = run_cli(argv, cwd)
     if argv[0] == "validate":
         out = _validate_words(out)
     digest = hashlib.sha256(repr((argv, code, out, err)).encode())
@@ -166,10 +174,16 @@ def test_gate_pins_every_command():
     assert sorted(GATE_SHA256) == sorted(COMMANDS)
 
 
+def versions_note() -> str:
+    """The versions the digests were recorded with and the running ones,
+    read from package metadata so that scipy is not imported."""
+    recorded = ", ".join(f"{name} {version}" for name, version in RECORDED_WITH.items())
+    running = ", ".join(f"{name} {metadata.version(name)}" for name in RECORDED_WITH)
+    return f"digests recorded with {recorded}; running {running}"
+
+
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_command_bytes_match_the_gate(tmp_path, monkeypatch, capsys, name):
-    monkeypatch.delenv("FLEXCTL_SEED", raising=False)
-    monkeypatch.chdir(tmp_path)
+def test_command_bytes_match_the_gate(tmp_path, name):
     for file_name, text in {**CONFIG_FILES, **OWN_FILES.get(name, {})}.items():
         (tmp_path / file_name).write_text(text)
-    assert command_digest(COMMANDS[name], tmp_path, capsys) == GATE_SHA256.get(name)
+    assert command_digest(COMMANDS[name], tmp_path) == GATE_SHA256.get(name), versions_note()

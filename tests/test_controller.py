@@ -268,7 +268,7 @@ SPECIALS = np.array([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan, 1.5]
 def test_dot_has_the_bytes_of_the_matmul_operator(operands):
     # the per-sample path writes its products as a.dot(b) on the premise that
     # it runs the same BLAS kernel as a @ b; if a numpy or BLAS upgrade splits
-    # them, this fails before the golden trace digest does
+    # them, this fails before the gate's compare_1..10 trace entries do
     a, b = operands
     with np.errstate(all="ignore"):
         dot, matmul = a.dot(b), a @ b
