@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -336,6 +337,29 @@ def test_stability_map_takes_negative_exponent_bounds_in_the_equals_form(tmp_pat
     assert res.returncode == 0, res.stderr
     rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[1]) for r in rows[:4]] == [-1000.0, -700.0, -400.0, -100.0]
+
+
+# SHA-256 of the one data file of two gate commands (map_default, compare_1..3),
+# as written before the map took its SimConfig (numpy 2.x with its bundled
+# OpenBLAS on x86-64). The gate digest covers the whole directory; this one
+# says whether the map or summary bytes moved, or only the manifest or stdout.
+GOLDEN_OUTPUT_SHA256 = {
+    "map_default": "0c7dbf6f12ea3b0bad95706a88a3e9c09d94413f3b35fde0b477cacffd7c578d",
+    "compare_summary": "67dc4690c7bfcf2e7609f1411fcfd8e5004e8a8a457a85eabf268e7202caf4f4",
+}
+GOLDEN_OUTPUT_COMMANDS = {
+    "map_default": (["stability-map", "--out", "out.csv"], "out.csv"),
+    "compare_summary": (["compare", "--seeds", "1..3", "--out", "cmp"], "cmp/summary.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUT_SHA256))
+def test_output_bytes_match_the_golden_digest(tmp_path, name):
+    argv, output = GOLDEN_OUTPUT_COMMANDS[name]
+    res = flexctl(argv, tmp_path)
+    assert res.returncode == 0, res.stderr
+    digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+    assert digest == GOLDEN_OUTPUT_SHA256[name]
 
 
 def test_stability_map_manifest_keeps_the_schedule(tmp_path):
