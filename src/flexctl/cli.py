@@ -174,7 +174,9 @@ def _simulation_flags(sub: argparse.ArgumentParser) -> None:
 def _resolve(args) -> SimConfig:
     """The command's SimConfig. A flag that sets a config key stores its
     value under that key (its dest), so every such flag is applied here."""
-    file_values = parse_config_file(args.config) if args.config else None
+    if args.config == "":
+        raise ConfigError("--config takes a file path, got ''")
+    file_values = parse_config_file(args.config) if args.config is not None else None
     return build_sim_config(file_values, vars(args))
 
 

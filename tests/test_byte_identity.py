@@ -76,6 +76,7 @@ COMMANDS = {
     "run_bad_value": ["run", "--config", "bad_value.cfg"],
     "run_no_equals": ["run", "--config", "no_equals.cfg"],
     "run_missing_config": ["run", "--config", "missing.cfg"],
+    "run_empty_config": ["run", "--config", ""],
     "run_repeated_key": ["run", "--config", "repeated_key.cfg"],
     "run_paper_literal_divergence": ["run", "--gain-mode", "constant", "--fidelity",
                                      "paper_literal", "--duration", "30", "--out", "div.csv"],
@@ -92,6 +93,7 @@ COMMANDS = {
     "validate_tol_1e-300": ["validate", "--tol", "1e-300"],
     "validate_trials_0": ["validate", "--trials", "0"],
     "validate_trials_-1": ["validate", "--trials", "-1"],
+    "validate_seed_-1": ["validate", "--seed", "-1"],
     "run_h_max_inf": ["run", "--h-max", "inf"],
     "run_h_max_1e308": ["run", "--h-max", "1e308"],
     "run_duration_inf": ["run", "--duration", "inf"],
@@ -129,6 +131,7 @@ GATE_SHA256 = {
     "run_bad_value": "222101b35e640564521578b8d9d00b34bca0ec6bb2ef7faed5952528945fb85b",
     "run_no_equals": "57d0a85a299c75faeaca08be725ea7456aa424980d2a0c1099b9a81e973e88cc",
     "run_missing_config": "bab7334d6eb36a8d625788e5a3539582d89771ad3c66438cce6a01bbe051a82f",
+    "run_empty_config": "34436aa234a83e7939e045093a6d6f55b102787500df9de3307c8afe60ddd1fd",
     "run_repeated_key": "10a974887548821eb0754915a42cce2c363ef5d53737eaaa654cac24502060c5",
     "run_paper_literal_divergence": "53317f8d1a4d3787651f50188dcc8ea60a5babf825e77c5e7e3791f12fe2deaa",
     "compare_paper_literal_divergence": "a88aee111ff204199f902f901a202248a974eb77d06b692a72cec10f8f744a7f",
@@ -144,6 +147,7 @@ GATE_SHA256 = {
     "validate_tol_1e-300": "475109cd0502c379bf6105d8ec4203cf9a3844bd74950c074b6f6a6278f3fa27",
     "validate_trials_0": "5b6fda245e52401c8fe5f6e7d757bda01ccd9813389a9ec6725a43108025c2d8",
     "validate_trials_-1": "85074ba30fd3c254198366158d4001cf0cad1fdde8055607edb287dbebcaaaa8",
+    "validate_seed_-1": "c652183863910a261d0a61bf229805d2faa6b29e230d8b711bf050c49cf59153",
     "run_h_max_inf": "dc031bcdabf5481766d138e6d6551c4bcfed27523a5b47555ca5f2c2bcdf9126",
     "run_h_max_1e308": "a8cd99cc41cc496ee72047cd73fa65a8100a84f7fb9dbd155cf60bd343c0e6d7",
     "run_duration_inf": "dbc08efa315287f3b7c2252dad79cfb6d97e0b16316d595bdcb31b60bd7cf6fe",

@@ -27,10 +27,11 @@ def test_degraded_series_tolerance_fails_the_integral_check():
     assert not integ.passed
 
 
-@pytest.mark.parametrize("trials, calls, slices", [(50, 30, 718), (0, 6, 361)])
+@pytest.mark.parametrize("trials, calls, slices", [(50, 30, 411), (0, 6, 97)])
 def test_identity_suite_asks_scipy_for_a_fixed_number_of_exponentials(
         monkeypatch, trials, calls, slices):
-    # one call per batch; an integral needs panels + 10 slices, not 10 per panel
+    # one call per batch; an integral needs 11 slices (its panel width and
+    # 10 node offsets) whatever its panel count, not 10 per panel
     counts = [0, 0]
     scipy_oracle = checks.expm
 
@@ -97,20 +98,17 @@ def oracle_cases():
 
 
 def factored_reference(M, h):
-    """The factored rule with one single-matrix expm call per panel start and
-    per node offset, summed in the oracle's order; the stacked oracle must
-    give the same bits."""
+    """The factored rule with one single-matrix expm call for the panel
+    width's E and per node offset, summed in the oracle's order; the stacked
+    oracle must give the same bits."""
     nodes, weights = np.polynomial.legendre.leggauss(10)
     panels = max(4, int(np.ceil(np.max(np.abs(M)) * h / 2.0)))
-    edges = np.linspace(0.0, h, panels + 1)
-    half = 0.5 * (h / panels)
-    starts = np.zeros_like(np.asarray(M, dtype=float))
-    for t in edges[:-1]:
-        starts += expm(M * t)
-    inner = np.zeros_like(starts)
+    width = h / panels
+    half = 0.5 * width
+    inner = np.zeros_like(np.asarray(M, dtype=float))
     for t, wgt in zip(nodes, weights):
         inner += wgt * expm(M * (half * (1.0 + t)))
-    return starts @ (inner * half)
+    return checks.power_sum(expm(M * width), panels) @ (inner * half)
 
 
 @pytest.mark.parametrize("M, h", oracle_cases())
@@ -126,6 +124,54 @@ def test_integral_oracle_is_within_1e_13_of_per_node_reference(M, h):
     want = reference_integral(M, h)
     got = integral_oracle(M, h)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13
+
+
+def test_power_sum_matches_a_left_to_right_sum_for_every_panel_count():
+    # doubling reorders the sum; over these cases the worst gap is ~1.6e-14
+    for M, h in oracle_cases():
+        for panels in range(4, 201):
+            E = expm(M * (h / panels))
+            want, P = np.zeros((3, 3)), np.eye(3)
+            for _ in range(panels):
+                want += P
+                P = P @ E
+            got = checks.power_sum(E, panels)
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13, (h, panels)
+
+
+def test_power_sum_counts_every_power_once():
+    # E = 2 I: the sum of 2^p for p < n is 2^n - 1, exact while it fits 53 bits
+    for n in range(1, 54):
+        assert np.array_equal(checks.power_sum(2.0 * np.eye(3), n), (2.0 ** n - 1) * np.eye(3))
+
+
+def test_integral_oracle_does_not_use_the_series(monkeypatch):
+    # the oracle must stay independent of the phi it checks
+    def no_phi(*args, **kwargs):
+        raise AssertionError("integral_oracle called phi")
+
+    monkeypatch.setattr(checks, "phi", no_phi)
+    for M, h in oracle_cases():
+        assert np.isfinite(integral_oracle(M, h)).all()
+
+
+def test_batched_draws_equal_one_at_a_time_rejection():
+    def one_at_a_time(rng, k):
+        kept, drawn = [], 0
+        while len(kept) < k:
+            T = np.eye(3) + rng.uniform(-0.5, 0.5, size=(3, 3))
+            drawn += 1
+            if np.linalg.cond(T) < 100.0:
+                kept.append(T)
+        return np.stack(kept), drawn
+
+    # PCG64(75)'s 12th candidate has cond ~1.3e3 and is rejected
+    loop_rng = np.random.Generator(np.random.PCG64(75))
+    want, drawn = one_at_a_time(loop_rng, 25)
+    assert drawn > 25
+    batch_rng = np.random.Generator(np.random.PCG64(75))
+    assert np.array_equal(checks._well_conditioned(batch_rng, 25), want)
+    assert batch_rng.uniform() == loop_rng.uniform()
 
 
 # derived seeds (benchmark seed, index) where the earlier phi, which rebuilt

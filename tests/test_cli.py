@@ -175,6 +175,17 @@ def test_config_file_precedence(tmp_path):
     assert cfg["duration"] == 4.0
 
 
+@pytest.mark.parametrize("command, out", [("run", "t.csv"), ("compare", "cmp"),
+                                          ("stability-map", "map.csv")])
+def test_empty_config_path_is_usage_error(tmp_path, command, out):
+    # an empty path is refused, not read as "no config file"
+    res = flexctl([command, "--config", "", "--out", out], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == "error: --config takes a file path, got ''\n"
+    assert res.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_unknown_key(tmp_path):
     (tmp_path / "bad.cfg").write_text("params.bogus = 1\n")
     res = flexctl(["run", "--config", "bad.cfg"], tmp_path)
@@ -404,6 +415,13 @@ def test_validate_negative_trials_is_usage_error(tmp_path):
     res = flexctl(["validate", "--trials", "0"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "all checks passed" in res.stdout
+
+
+def test_validate_negative_seed_is_usage_error(tmp_path):
+    res = flexctl(["validate", "--seed", "-1"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == "error: seed must be >= 0, got -1\n"
+    assert res.stdout == ""
 
 
 def test_validate_unreachable_tolerance_is_usage_error(tmp_path):
