@@ -318,6 +318,132 @@ def test_rk4_crosscheck_full_horizon(gain_mode):
         assert rk4_crosscheck(cfg, run(cfg)) <= 1e-6, seed
 
 
+def rk4_matrix_power_states(cfg, trace, t_end=None, dt=1e-5):
+    """The RK4 state [x; 1] at each sample instant, with each period's
+    substeps taken as one np.linalg.matrix_power of its step map."""
+    A, B = continuous_matrices(cfg.params)
+    eye = np.eye(3)
+    x = np.append(cfg.initial.as_array(), 1.0)
+    for rec, nxt in zip(trace[:-1], trace[1:]):
+        if t_end is not None and nxt.t > t_end:
+            break
+        n = int(np.ceil(rec.h_k / dt))
+        step = rec.h_k / n
+        S = step * A
+        P = eye + S @ (eye / 2.0 + S @ (eye / 6.0 + S / 24.0))  # Q / s
+        T = np.eye(4)
+        T[:3, :3] = eye + S @ P
+        T[:3, 3] = step * (P @ (B * rec.u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.linalg.matrix_power(T, n) @ x
+        yield nxt, x
+
+
+def rk4_matrix_power_reference(cfg, trace, t_end=None, dt=1e-5):
+    """The cross-check period by period: each state's deviation is taken
+    before the next period, and the first non-finite state returns inf."""
+    worst = 0.0
+    for nxt, x in rk4_matrix_power_states(cfg, trace, t_end, dt):
+        if not np.all(np.isfinite(x)):
+            return float("inf")
+        logged = np.array([nxt.I, nxt.omega, nxt.theta])
+        err = np.max(np.abs(logged - x[:3])) / max(np.max(np.abs(x[:3])), 1e-12)
+        worst = max(worst, float(err))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def seeded_traces():
+    """Seeds 1-10 in both gain modes and both schedule modes."""
+    cases = []
+    for seed in range(1, 11):
+        for mode in ("random_hold", "per_step"):
+            base = SimConfig(schedule=ScheduleSpec(seed=seed, mode=mode))
+            for gain_mode in ("dynamic", "constant"):
+                cfg = replace(base, gains=replace(base.gains, gain_mode=gain_mode))
+                cases.append((cfg, run(cfg)))
+    return cases
+
+
+# dt = 0.04, 0.07, 0.1 and 0.3 give n = 1, 2, 3 and 4+ substeps on the
+# default periods (0.05-0.2 s), all of them past RK4's blow-up to inf
+@pytest.mark.parametrize("kwargs", [{}, {"dt": 1e-4}, {"t_end": 2.0}, {"t_end": 0.5, "dt": 1e-3},
+                                    {"dt": 0.04}, {"dt": 0.07}, {"dt": 0.1}, {"dt": 0.3}],
+                         ids=repr)
+def test_rk4_crosscheck_equals_the_matrix_power_reference(seeded_traces, kwargs):
+    for cfg, trace in seeded_traces:
+        assert rk4_crosscheck(cfg, trace, **kwargs) == \
+            rk4_matrix_power_reference(cfg, trace, **kwargs)
+
+
+def assert_reproduces_the_reference_states(cfg, dt):
+    """Check rk4_crosscheck on cfg's trace with each logged state replaced
+    by the reference's RK4 state: the drift is 0.0 only if every state
+    matches bit for bit, not only the worst. Returns that trace."""
+    trace = run(cfg)
+    trace = trace[:1] + [nxt._replace(I=float(x[0]), omega=float(x[1]), theta=float(x[2]))
+                         for nxt, x in rk4_matrix_power_states(cfg, trace, dt=dt)]
+    assert rk4_matrix_power_reference(cfg, trace, dt=dt) == 0.0
+    assert rk4_crosscheck(cfg, trace, dt=dt) == 0.0, cfg.schedule
+    return trace
+
+
+@pytest.mark.parametrize("mode", ["random_hold", "per_step"])
+def test_rk4_crosscheck_reproduces_every_reference_state(mode):
+    for seed in range(1, 11):
+        assert_reproduces_the_reference_states(
+            SimConfig(schedule=ScheduleSpec(seed=seed, mode=mode)), dt=1e-4)
+
+
+@pytest.mark.parametrize("mode", ["random_hold", "per_step"])
+def test_rk4_crosscheck_reproduces_the_matrix_power_shortcuts(mode):
+    # 0.1-0.6 ms periods at dt = 0.2 ms take n = 1, 2 and 3 substeps, which
+    # matrix_power forms as T, T T and (T T) T, and RK4 stays finite
+    dt = 2e-4
+    for seed in range(1, 11):
+        cfg = SimConfig(schedule=ScheduleSpec(seed=seed, mode=mode, h_min=1e-4, h_max=6e-4),
+                        duration=0.05)
+        trace = assert_reproduces_the_reference_states(cfg, dt)
+        assert {math.ceil(r.h_k / dt) for r in trace} == {1, 2, 3}
+
+
+def test_rk4_crosscheck_skips_a_nan_logged_state_as_the_reference_does():
+    cfg = nominal_config(seed=1, duration=2.0)
+    trace = run(cfg)
+    trace[3] = trace[3]._replace(omega=float("nan"))
+    drift = rk4_crosscheck(cfg, trace)
+    assert 0.0 < drift == rk4_matrix_power_reference(cfg, trace)
+
+
+def test_rk4_crosscheck_keeps_the_substep_count_exact_at_tiny_dt():
+    # n = ceil(h_k/dt) near 1e299 substeps: an int64 count would wrap
+    cfg = nominal_config(seed=1)
+    trace = run(cfg)
+    drift = rk4_crosscheck(cfg, trace, t_end=0.3, dt=1e-300)
+    assert drift == 0.9004346985473147
+    assert drift == rk4_matrix_power_reference(cfg, trace, t_end=0.3, dt=1e-300)
+
+
+def test_rk4_crosscheck_rejects_a_substep_count_that_is_not_finite_and_positive():
+    cfg = nominal_config(seed=1, duration=1.0)
+    trace = run(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt = 5e-324"):
+            rk4_crosscheck(cfg, trace, dt=5e-324)
+        trace[2] = trace[2]._replace(h_k=0.0)
+        with pytest.raises(ValueError, match="h_k/dt must be finite and > 0"):
+            rk4_crosscheck(cfg, trace)
+
+
+def test_rk4_crosscheck_with_no_period_to_check_is_zero():
+    cfg = nominal_config(seed=1, duration=1.0)
+    trace = run(cfg)
+    assert rk4_crosscheck(cfg, trace[:1]) == 0.0
+    assert rk4_crosscheck(cfg, trace, t_end=trace[1].t / 2) == 0.0
+    assert rk4_crosscheck(cfg, trace, t_end=-1.0) == 0.0
+
+
 def test_trace_record_fields_match_columns():
     assert TraceRecord._fields == TRACE_COLUMNS
     # the column contract is spelled out, not derived from the record
